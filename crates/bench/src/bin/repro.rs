@@ -120,9 +120,10 @@ use sigcomp_bench::{
     merged_stats, pattern_histogram_rows, perf, table1, table2, table3, table4,
 };
 use sigcomp_explore::{
-    config_points, frontier_table, parse_shard, run_sweep, static_prune, to_csv, to_json,
-    try_run_jobs_traced, try_run_sweep, ExecBackend, FleetConfig, JobSpec, MemProfile, PruneReason,
-    ResultCache, SubprocessConfig, SweepOptions, SweepSpec, TraceInput, TraceSource, WORKER_HEADER,
+    config_points, frontier_table, parse_shard, round_robin, run_jobs_traced, run_sweep,
+    static_prune, to_csv, to_json, try_run_jobs_traced, try_run_sweep, ExecBackend, FleetConfig,
+    JobLedger, JobSpec, MemProfile, PruneReason, ResultCache, SubprocessConfig, SweepOptions,
+    SweepSpec, TraceInput, TraceSource, WORKER_HEADER,
 };
 use sigcomp_fabric::client::HttpClient;
 use sigcomp_fabric::worker::Heartbeater;
@@ -1334,9 +1335,9 @@ fn run_analyze_command(args: &[String]) -> ExitCode {
 /// Runs one shard of a sharded sweep (the subprocess-backend worker
 /// protocol; see `sigcomp_explore::backend`): reads the deduped job list
 /// from stdin — one wire line per job, sorted by job id by the parent —
-/// executes the lines whose 0-based index satisfies `index % N == I` on the
-/// in-process executor against the shared result cache, and reports per-job
-/// provenance on stdout for the parent to verify.
+/// executes its `round_robin` share `I/N` on the in-process executor
+/// against the shared result cache, and reports per-job provenance on
+/// stdout for the parent to verify.
 fn run_worker_command(args: &[String]) -> ExitCode {
     let mut shard: Option<(usize, usize)> = None;
     let mut cache_dir: Option<String> = None;
@@ -1429,21 +1430,21 @@ fn run_worker_command(args: &[String]) -> ExitCode {
         eprintln!("worker: cannot read the job list from stdin: {e}");
         return ExitCode::FAILURE;
     }
-    let mut jobs: Vec<JobSpec> = Vec::new();
-    for (rank, line) in wire.lines().filter(|l| !l.trim().is_empty()).enumerate() {
-        // Every line is validated — a malformed list must fail loudly even
-        // if the bad line belongs to a sibling shard.
-        let job = match JobSpec::from_wire(line) {
-            Ok(job) => job,
-            Err(e) => {
-                eprintln!("worker: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if rank % count == index {
-            jobs.push(job);
+    // Every line is validated — a malformed list must fail loudly even if
+    // the bad line belongs to a sibling shard.
+    let all: Vec<JobSpec> = match wire
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(JobSpec::from_wire)
+        .collect()
+    {
+        Ok(all) => all,
+        Err(e) => {
+            eprintln!("worker: {e}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
+    let jobs: Vec<JobSpec> = round_robin(&all, index, count).copied().collect();
     for job in &jobs {
         if let TraceSource::File { digest } = job.source {
             if !traces.iter().any(|t| t.digest() == digest) {
@@ -1462,23 +1463,12 @@ fn run_worker_command(args: &[String]) -> ExitCode {
         cache: Some(cache),
         backend: ExecBackend::LocalThreads,
     };
-    let summary = match try_run_jobs_traced(&jobs, &traces, &options) {
-        Ok(summary) => summary,
-        Err(e) => {
-            eprintln!("worker: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let summary = run_jobs_traced(&jobs, &traces, &options);
     println!("{WORKER_HEADER} shard {index}/{count}");
     for outcome in &summary.outcomes {
         println!(
-            "job {:016x} {}",
-            outcome.spec.job_id(),
-            if outcome.from_cache {
-                "cached"
-            } else {
-                "simulated"
-            }
+            "{}",
+            JobLedger::line(outcome.spec.job_id(), outcome.from_cache)
         );
     }
     // The registry snapshot travels home on the report stream (v2 `obs`

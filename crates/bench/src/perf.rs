@@ -34,6 +34,7 @@ use sigcomp_explore::{
     config_points, pareto_frontier, run_sweep, simulate_decoded, ExecBackend, JobSpec, MemProfile,
     ResultCache, SweepOptions, SweepSpec, TraceInput,
 };
+use sigcomp_fabric::read_response;
 use sigcomp_pipeline::OrgKind;
 use sigcomp_serve::Json;
 use sigcomp_workloads::WorkloadSize;
@@ -183,7 +184,7 @@ impl BenchReport {
         let _ = writeln!(
             out,
             "  \"label\": \"{}\",",
-            sigcomp_serve::json::escape(&self.label)
+            sigcomp_obs::json_escape(&self.label)
         );
         let _ = writeln!(out, "  \"quick\": {},", self.quick);
         let _ = writeln!(
@@ -483,7 +484,7 @@ fn bench_serve(options: &BenchOptions) -> Result<ServeBench, String> {
 /// One request on a fresh connection, response read to EOF (the legacy
 /// model closes after every response). Returns the status code.
 fn serve_one_shot(addr: std::net::SocketAddr, body: &str) -> Result<u16, String> {
-    use std::io::{Read as _, Write as _};
+    use std::io::Write as _;
     let mut stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     let request = format!(
         "POST /simulate HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
@@ -492,14 +493,9 @@ fn serve_one_shot(addr: std::net::SocketAddr, body: &str) -> Result<u16, String>
     stream
         .write_all(request.as_bytes())
         .map_err(|e| format!("send: {e}"))?;
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .map_err(|e| format!("read: {e}"))?;
-    raw.split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed response: {raw:?}"))
+    read_response(&mut std::io::BufReader::new(stream))
+        .map(|response| response.status)
+        .map_err(|e| format!("read: {e}"))
 }
 
 /// A closed-loop client for the threaded baseline: dial, one request, read
@@ -535,7 +531,7 @@ fn serve_client_pipelined(
     stop_at: Instant,
     latency: &sigcomp_obs::Histogram,
 ) -> Result<u64, String> {
-    use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+    use std::io::{BufReader, Write as _};
     let stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     stream
         .set_nodelay(true)
@@ -548,7 +544,6 @@ fn serve_client_pipelined(
         body.len()
     );
     let batch = one.repeat(depth);
-    let mut body_buf = Vec::new();
     let mut served = 0;
     while Instant::now() < stop_at {
         let sent = Instant::now();
@@ -556,41 +551,10 @@ fn serve_client_pipelined(
             .write_all(batch.as_bytes())
             .map_err(|e| format!("send batch: {e}"))?;
         for _ in 0..depth {
-            // One framed response: status line, headers (capturing
-            // Content-Length), exactly that many body bytes.
-            let mut line = String::new();
-            reader
-                .read_line(&mut line)
-                .map_err(|e| format!("read status: {e}"))?;
-            let status: u16 = line
-                .split(' ')
-                .nth(1)
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| format!("malformed status line: {line:?}"))?;
-            if status != 200 {
-                return Err(format!("pipelined request answered {status}"));
+            let response = read_response(&mut reader).map_err(|e| format!("read response: {e}"))?;
+            if response.status != 200 {
+                return Err(format!("pipelined request answered {}", response.status));
             }
-            let mut content_length = 0usize;
-            loop {
-                line.clear();
-                reader
-                    .read_line(&mut line)
-                    .map_err(|e| format!("read header: {e}"))?;
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    break;
-                }
-                if let Some(value) = trimmed.to_ascii_lowercase().strip_prefix("content-length:") {
-                    content_length = value
-                        .trim()
-                        .parse()
-                        .map_err(|e| format!("content-length: {e}"))?;
-                }
-            }
-            body_buf.resize(content_length, 0);
-            reader
-                .read_exact(&mut body_buf)
-                .map_err(|e| format!("read body: {e}"))?;
         }
         let elapsed = sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         for _ in 0..depth {
@@ -734,8 +698,8 @@ pub fn trajectory_row(report: &BenchReport, commit: &str) -> String {
          \"frontier_points_per_sec\": {:.1}, \
          \"serve_reactor_req_per_sec\": {:.1}, \
          \"serve_keepalive_speedup\": {:.2}}}",
-        sigcomp_serve::json::escape(&report.label),
-        sigcomp_serve::json::escape(commit),
+        sigcomp_obs::json_escape(&report.label),
+        sigcomp_obs::json_escape(commit),
         report.quick,
         report.replay.rate(),
         report.sweep_cold.rate(),

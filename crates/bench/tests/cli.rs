@@ -255,6 +255,40 @@ fn trace_replay_and_stat_fail_cleanly_on_missing_and_corrupt_files() {
 }
 
 #[test]
+fn a_forged_record_count_is_a_named_error_not_an_abort() {
+    // The golden rawcaudio trace with only its header count inflated: every
+    // trace-reading path must report the short stream and exit 1.
+    let dir = temp_dir("forged");
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/data/rawcaudio.sctrace"
+    );
+    let bytes = std::fs::read(golden).expect("golden trace");
+    let header_end = bytes.windows(3).position(|w| w == b"%%\n").expect("header") + 3;
+    let header = String::from_utf8_lossy(&bytes[..header_end])
+        .replace("records=4332\n", "records=4000000000000\n");
+    let mut forged = header.into_bytes();
+    forged.extend_from_slice(&bytes[header_end..]);
+    let path = dir.join("forged.sctrace");
+    std::fs::write(&path, forged).unwrap();
+    let path = path.to_str().unwrap();
+    for args in [
+        vec!["trace", "replay", path],
+        vec!["trace", "stat", path],
+        vec!["sweep", "--no-cache", "--traces", path],
+    ] {
+        let out = repro(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains("truncated inside record 4332"),
+            "{args:?}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn trace_record_stat_replay_round_trip() {
     let dir = temp_dir("roundtrip");
     let path = dir.join("rawcaudio.sctrace");

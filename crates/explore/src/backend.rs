@@ -6,24 +6,23 @@
 //! ([`crate::try_run_jobs_traced`]) parameterized by an [`ExecBackend`]:
 //!
 //! * [`ExecBackend::LocalThreads`] — the in-process work-stealing executor
-//!   ([`crate::executor`]), behavior-preserving with the original engine.
-//! * [`ExecBackend::Subprocess`] — shards the **deduplicated** job list
-//!   `i/n` by stable [`JobSpec::job_id`] order across `repro worker`
-//!   child processes that all write through one shared atomic
-//!   [`crate::ResultCache`], then merges their shards bit-identically.
+//!   ([`crate::executor`]).
+//! * [`ExecBackend::Subprocess`] and [`ExecBackend::Fleet`] — the one
+//!   scatter/merge core ([`crate::scatter`]) with two transports: `repro
+//!   worker` child processes (here) and remote `repro serve` workers
+//!   (`sigcomp-fabric`). The core dedups, sorts by [`JobSpec::job_id`],
+//!   deals shards round-robin and merges through the shared
+//!   [`crate::ResultCache`], so output is byte-identical to one process.
 //!
 //! # The worker protocol
 //!
-//! The parent serializes the deduped job list — sorted by `job_id` so the
-//! order is a pure function of the job *contents*, independent of
-//! submission order — one [`JobSpec::to_wire`] line per job, and pipes the
-//! **whole** list to every child's stdin. A child started with
-//! `--shard i/n` executes exactly the lines whose 0-based index satisfies
-//! `index % n == i`; because every child sees the same list in the same
-//! order, the partition is consistent without any coordination, and the
-//! same broadcast works unchanged for a future multi-host fan-out.
-//!
-//! Children answer on stdout with a versioned report the parent verifies:
+//! The parent pipes the **whole** id-sorted pending list, one
+//! [`JobSpec::to_wire`] line per job, to every child's stdin. A child
+//! started with `--shard i/n` executes its
+//! [`round_robin`](crate::round_robin) share of the lines; every child sees
+//! the same list in the same order, so the partition needs no
+//! coordination. Children store results into the shared cache (atomic
+//! write-to-temp + rename) and answer on stdout with a versioned report:
 //!
 //! ```text
 //! sigcomp-worker v2 shard 0/3
@@ -34,33 +33,22 @@
 //! done jobs=2 simulated=1 cached=1
 //! ```
 //!
-//! `obs` lines (v2) carry the worker's observability-registry snapshot in
-//! [`sigcomp_obs::Snapshot::to_wire`] form; the parent folds each shard's
-//! snapshot into its own global registry (the merge is commutative, so the
-//! totals are shard-order-independent) and keeps the per-shard snapshots in
-//! [`SweepSummary::shard_obs`](crate::SweepSummary::shard_obs).
-//!
-//! Results never travel over the pipe: each child stores its metrics into
-//! the shared [`crate::ResultCache`] (atomic write-to-temp + rename), and the
-//! parent restores every job from the cache afterwards — the cache *is*
-//! the merge point, exactly as when a CLI sweep and a server share a
-//! directory. Since cache hits are substitutable for simulations by
-//! construction, the merged [`SweepSummary`](crate::SweepSummary) is
-//! **byte-identical to the single-process run for any shard count**.
-//!
-//! Failures are first-class: a child that dies, is killed, or emits a
-//! malformed report becomes a named [`ExecError`], never a hang or a
-//! panic.
+//! `obs` lines carry the worker's registry snapshot in
+//! [`sigcomp_obs::Snapshot::to_wire`] form; the parent folds each verified
+//! shard's snapshot into its own global registry (the merge is commutative)
+//! and keeps them in [`SweepSummary::shard_obs`](crate::SweepSummary::shard_obs).
+//! A child that cannot spawn, dies, or emits a malformed report is a fatal,
+//! named [`ExecError`] — never a hang, a panic or a partial merge.
 
+use crate::scatter::{scatter_jobs, JobLedger, Shard, ShardOutcome, ShardReport, ShardTransport};
 use crate::spec::{JobSpec, TraceInput};
-use crate::sweep::{JobOutcome, SweepOptions, SweepShard, SweepSummary};
-use std::collections::{HashMap, HashSet};
+use crate::sweep::{SweepOptions, SweepSummary};
+use std::collections::HashSet;
 use std::fmt;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// First line of a worker's stdout report (followed by ` shard i/n`); the
 /// version is bumped whenever the report grammar changes so a parent can
@@ -318,89 +306,99 @@ pub fn parse_shard(value: &str) -> Result<(usize, usize), String> {
     Ok((index, count))
 }
 
-/// A job list deduplicated by content hash: the first occurrence of each
-/// [`JobSpec::job_id`] leads; every position maps back to its leader.
-///
-/// This is the *one* dedup-by-`job_id` implementation in the workspace —
-/// the serve batcher and the subprocess backend both group through it, so
-/// coalescing semantics can never drift between the two schedulers.
-#[derive(Debug)]
-pub struct DedupedJobs {
-    /// First occurrence of each distinct job id, in submission order.
-    pub unique: Vec<JobSpec>,
-    /// For every input position, the index into [`DedupedJobs::unique`]
-    /// that answers it.
-    pub leader_of: Vec<usize>,
-    /// For every unique entry, the input position that introduced it.
-    pub leader_position: Vec<usize>,
+/// The subprocess transport: one `repro worker` child per shard, fed the
+/// whole pending list on stdin and answering with a `sigcomp-worker v2`
+/// report on stdout.
+struct Children<'a> {
+    config: &'a SubprocessConfig,
+    /// Threads per child: [`SweepOptions::workers`] when set.
+    workers: Option<usize>,
 }
 
-impl DedupedJobs {
-    /// Whether input position `pos` coalesced onto an earlier submission
-    /// (i.e. is not the first occurrence of its job id).
-    #[must_use]
-    pub fn is_follower(&self, pos: usize) -> bool {
-        self.leader_position[self.leader_of[pos]] != pos
-    }
+impl ShardTransport for Children<'_> {
+    type Slot = ();
+    const BACKEND: &'static str = "subprocess";
 
-    /// Input positions minus unique jobs: how many submissions coalesced.
-    #[must_use]
-    pub fn followers(&self) -> usize {
-        self.leader_of.len() - self.unique.len()
-    }
-}
-
-/// Groups `jobs` by [`JobSpec::job_id`], first occurrence leading.
-#[must_use]
-pub fn dedup_jobs(jobs: &[JobSpec]) -> DedupedJobs {
-    let mut unique = Vec::new();
-    let mut leader_of = Vec::with_capacity(jobs.len());
-    let mut leader_position = Vec::new();
-    let mut index_of: HashMap<u64, usize> = HashMap::new();
-    for (pos, job) in jobs.iter().enumerate() {
-        let id = job.job_id();
-        let leader = *index_of.entry(id).or_insert_with(|| {
-            unique.push(*job);
-            leader_position.push(pos);
-            unique.len() - 1
+    fn run_shard(&self, _slot: &(), shard: Shard<'_>) -> Result<ShardOutcome, ExecError> {
+        let Shard { index, count, .. } = shard;
+        // An explicit --workers is forwarded as-is (it is documented as
+        // "per shard"); otherwise the machine's parallelism is divided
+        // across the shards so a default run never oversubscribes the host.
+        let threads = self.workers.unwrap_or_else(|| {
+            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+            (cores / count).max(1)
         });
-        leader_of.push(leader);
-    }
-    let obs = sigcomp_obs::global();
-    obs.counter("explore.dedup.unique").add(unique.len() as u64);
-    obs.counter("explore.dedup.followers")
-        .add((jobs.len() - unique.len()) as u64);
-    DedupedJobs {
-        unique,
-        leader_of,
-        leader_position,
+        let mut command = Command::new(&self.config.program);
+        command
+            .args(&self.config.args)
+            .arg("--shard")
+            .arg(format!("{index}/{count}"))
+            .arg("--cache")
+            .arg(shard.cache.root())
+            .arg("--workers")
+            .arg(threads.to_string());
+        if !self.config.trace_paths.is_empty() {
+            command
+                .arg("--traces")
+                .arg(self.config.trace_paths.join(","));
+        }
+        if let Some(obs_log) = &self.config.obs_log {
+            command
+                .arg("--obs-log")
+                .arg(format!("{}.shard-{index}", obs_log.display()));
+        }
+        // stderr is inherited: a worker's own named error surfaces directly
+        // on the parent's stderr next to the ExecError naming the shard.
+        let mut child = command
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .map_err(|error| ExecError::Spawn {
+                shard: index,
+                shards: count,
+                error,
+            })?;
+        let failed = |detail: String| ExecError::WorkerFailed {
+            shard: index,
+            shards: count,
+            detail,
+        };
+        // The child drains stdin to EOF before it simulates, so feeding the
+        // whole list and then collecting its output cannot deadlock.
+        if let Some(mut stdin) = child.stdin.take() {
+            let wire: String = shard
+                .pending
+                .iter()
+                .map(|job| job.to_wire() + "\n")
+                .collect();
+            // A write failure means the child died early; its exit status
+            // carries the real diagnosis below.
+            let _ = stdin.write_all(wire.as_bytes());
+        }
+        let output = child
+            .wait_with_output()
+            .map_err(|error| failed(format!("collecting its output failed: {error}")))?;
+        if !output.status.success() {
+            return Err(failed(output.status.to_string()));
+        }
+        let expected: HashSet<u64> = shard.jobs().map(JobSpec::job_id).collect();
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        parse_report(&stdout, index, count, &expected).map(ShardOutcome::Done)
     }
 }
 
-/// What one worker reported about its shard.
-#[derive(Debug)]
-struct ShardReport {
-    /// `(job_id, from_cache)` per executed job, in the worker's order.
-    jobs: Vec<(u64, bool)>,
-    /// The worker's observability-registry snapshot (v2 `obs` lines).
-    obs: sigcomp_obs::Snapshot,
-}
-
-/// Runs `jobs` on the subprocess backend: dedup, shard by stable `job_id`
-/// order, spawn `--shard i/n` workers over the shared cache, verify their
-/// reports, and reassemble outcomes in submission order.
-///
-/// Duplicate submissions (equal job ids) are coalesced: every follower
-/// position receives its leader's metrics with `from_cache = true`.
+/// Runs `jobs` on the subprocess backend: the scatter core over `shards`
+/// `repro worker` children, then every verified shard's obs snapshot folded
+/// into the parent's global registry.
 ///
 /// # Errors
 ///
-/// Any [`ExecError`]; the job list is returned untouched by side effects on
-/// error except for cache entries already published by finished workers
-/// (which later runs simply reuse).
+/// Any [`ExecError`]. A failed child is fatal; cache entries already
+/// published by finished workers stay for later runs to reuse.
 pub(crate) fn run_subprocess(
     jobs: &[JobSpec],
-    _traces: &[TraceInput],
+    traces: &[TraceInput],
     options: &SweepOptions,
     config: &SubprocessConfig,
 ) -> Result<SweepSummary, ExecError> {
@@ -409,204 +407,23 @@ pub(crate) fn run_subprocess(
             "the shard count must be positive".to_owned(),
         ));
     }
-    let cache = options.cache.as_ref().ok_or(ExecError::CacheRequired)?;
-    let started = Instant::now();
-    if jobs.is_empty() {
-        return Ok(SweepSummary {
-            outcomes: Vec::new(),
-            totals: SweepShard::default(),
-            worker_loads: Vec::new(),
-            workers: 0,
-            wall: started.elapsed(),
-            backend: "subprocess",
-            shard_obs: Vec::new(),
-        });
-    }
-
-    let deduped = dedup_jobs(jobs);
-    // The wire order is sorted by job id: a pure function of the job
-    // contents, so parent and workers (and any future remote frontier)
-    // agree on shard membership regardless of submission order.
-    let mut ordered: Vec<(u64, usize)> = deduped
-        .unique
-        .iter()
-        .enumerate()
-        .map(|(u, job)| (job.job_id(), u))
-        .collect();
-    ordered.sort_unstable_by_key(|&(id, _)| id);
-    let shards = config.shards.min(ordered.len());
-
-    // Threads per shard: an explicit --workers is forwarded as-is (it is
-    // documented as "per shard"); otherwise the machine's parallelism is
-    // divided across the shards so a default run never oversubscribes the
-    // host shards × cores ways.
-    let threads_per_shard = options.workers.unwrap_or_else(|| {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        (cores / shards).max(1)
-    });
-
-    let wire: String = ordered
-        .iter()
-        .map(|&(_, u)| {
-            let mut line = deduped.unique[u].to_wire();
-            line.push('\n');
-            line
-        })
-        .collect();
-    let mut children: Vec<Child> = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        let mut command = Command::new(&config.program);
-        command
-            .args(&config.args)
-            .arg("--shard")
-            .arg(format!("{shard}/{shards}"))
-            .arg("--cache")
-            .arg(cache.root())
-            .arg("--workers")
-            .arg(threads_per_shard.to_string());
-        if !config.trace_paths.is_empty() {
-            command.arg("--traces").arg(config.trace_paths.join(","));
-        }
-        if let Some(obs_log) = &config.obs_log {
-            command
-                .arg("--obs-log")
-                .arg(format!("{}.shard-{shard}", obs_log.display()));
-        }
-        // stderr is inherited: a worker's own named error surfaces directly
-        // on the parent's stderr next to the ExecError naming the shard.
-        let child = command
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .map_err(|error| ExecError::Spawn {
-                shard,
-                shards,
-                error,
-            })?;
-        children.push(child);
-    }
-
-    // One thread per child feeds its stdin (the full wire list — workers
-    // drain it to EOF before simulating) and then collects its output, so
-    // a slow or stuck sibling can neither block another child's feed nor
-    // let a long report fill its stdout pipe unread.
-    let outputs: Vec<std::io::Result<std::process::Output>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = children
-            .into_iter()
-            .map(|mut child| {
-                let wire = &wire;
-                scope.spawn(move || {
-                    if let Some(mut stdin) = child.stdin.take() {
-                        // A write failure means the child died early; its
-                        // exit status carries the real diagnosis below.
-                        let _ = stdin.write_all(wire.as_bytes());
-                    }
-                    child.wait_with_output()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("reader thread never panics"))
-            .collect()
-    });
-
-    // Verify every report before touching the cache.
-    let mut reports = Vec::with_capacity(shards);
-    for (shard, output) in outputs.into_iter().enumerate() {
-        let output = output.map_err(|error| ExecError::WorkerFailed {
-            shard,
-            shards,
-            detail: format!("collecting its output failed: {error}"),
-        })?;
-        if !output.status.success() {
-            return Err(ExecError::WorkerFailed {
-                shard,
-                shards,
-                detail: output.status.to_string(),
-            });
-        }
-        let expected: HashSet<u64> = ordered
-            .iter()
-            .enumerate()
-            .filter(|&(rank, _)| rank % shards == shard)
-            .map(|(_, &(id, _))| id)
-            .collect();
-        let stdout = String::from_utf8_lossy(&output.stdout);
-        reports.push(parse_report(&stdout, shard, shards, &expected)?);
-    }
-
-    // Fold every shard's observability snapshot into the parent's global
-    // registry. The merge is commutative, so the merged totals equal the
+    let children = Children {
+        config,
+        workers: options.workers,
+    };
+    let summary = scatter_jobs(jobs, traces, options, &children, vec![(); config.shards])?;
+    // The merge is commutative, so the merged totals equal the
     // single-process run's regardless of how the jobs were sharded.
-    let shard_obs: Vec<sigcomp_obs::Snapshot> = reports.iter().map(|r| r.obs.clone()).collect();
-    for (shard, snap) in shard_obs.iter().enumerate() {
+    for (shard, snap) in summary.shard_obs.iter().enumerate() {
         sigcomp_obs::global()
             .merge_snapshot(snap)
             .map_err(|e| ExecError::Protocol {
                 shard,
-                shards,
+                shards: summary.workers,
                 detail: e.to_string(),
             })?;
     }
-
-    // Merge through the cache: every unique job's metrics are restored from
-    // the shared directory the workers published into. These loads are
-    // `load_unobserved`: the cache *traffic* already happened inside the
-    // workers (and was merged above); re-counting the restore would break
-    // the sharded-equals-single-process invariant on the obs totals.
-    let mut provenance: HashMap<u64, bool> = HashMap::new();
-    for report in &reports {
-        for &(id, from_cache) in &report.jobs {
-            provenance.insert(id, from_cache);
-        }
-    }
-    let mut metrics_of = HashMap::with_capacity(deduped.unique.len());
-    for &(id, _) in &ordered {
-        let metrics = cache
-            .load_unobserved(id)
-            .ok_or(ExecError::ResultMissing { job_id: id })?;
-        metrics_of.insert(id, metrics);
-    }
-
-    // Totals are folded per submitted *position* (like the local backend),
-    // so `simulated + cached == outcomes.len()` holds on every backend:
-    // follower positions coalesced onto their leader's run and count as
-    // cache-answered, and the leader carries the worker-reported provenance
-    // (fresh simulation vs shared-cache hit) — only freshly simulated jobs
-    // contribute to `simulated`/`instructions_simulated`.
-    let mut totals = SweepShard::default();
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    for (pos, &leader) in deduped.leader_of.iter().enumerate() {
-        let spec = deduped.unique[leader];
-        let id = spec.job_id();
-        let metrics = metrics_of[&id];
-        let from_cache = deduped.is_follower(pos) || provenance[&id];
-        totals.activity.merge(&metrics.activity);
-        if from_cache {
-            totals.cached += 1;
-        } else {
-            totals.simulated += 1;
-            totals.instructions_simulated += metrics.instructions;
-        }
-        outcomes.push(JobOutcome {
-            spec,
-            metrics,
-            from_cache,
-        });
-    }
-
-    let worker_loads = reports.iter().map(|r| (r.jobs.len() as u64, 0)).collect();
-    Ok(SweepSummary {
-        outcomes,
-        totals,
-        worker_loads,
-        workers: shards,
-        wall: started.elapsed(),
-        backend: "subprocess",
-        shard_obs,
-    })
+    Ok(summary)
 }
 
 /// Parses and verifies one worker's stdout report against the job-id set
@@ -617,88 +434,40 @@ fn parse_report(
     shards: usize,
     expected: &HashSet<u64>,
 ) -> Result<ShardReport, ExecError> {
-    let violation = |detail: String| ExecError::Protocol {
+    let parse = || -> Result<ShardReport, String> {
+        let mut lines = stdout.lines().filter(|l| !l.trim().is_empty());
+        let header = lines.next().ok_or("empty report")?;
+        let expected_header = format!("{WORKER_HEADER} shard {shard}/{shards}");
+        if header != expected_header {
+            return Err(format!(
+                "bad header '{header}' (expected '{expected_header}')"
+            ));
+        }
+        let stranger = format!("does not belong to shard {shard}/{shards}");
+        let mut ledger = JobLedger::new(expected, &stranger);
+        let mut obs = sigcomp_obs::Snapshot::default();
+        for line in lines {
+            ledger.check_open(line)?;
+            if let Some(rest) = line.strip_prefix("obs ") {
+                obs.parse_wire_line(rest).map_err(|e| e.to_string())?;
+            } else if line.starts_with("job ") {
+                ledger.job(line)?;
+            } else if line.starts_with("done ") {
+                ledger.done(line)?;
+            } else {
+                return Err(format!("unexpected line '{line}'"));
+            }
+        }
+        Ok(ShardReport {
+            jobs: ledger.finish()?,
+            obs,
+        })
+    };
+    parse().map_err(|detail| ExecError::Protocol {
         shard,
         shards,
         detail,
-    };
-    let mut lines = stdout.lines().filter(|l| !l.trim().is_empty());
-    let header = lines
-        .next()
-        .ok_or_else(|| violation("empty report".to_owned()))?;
-    let expected_header = format!("{WORKER_HEADER} shard {shard}/{shards}");
-    if header != expected_header {
-        return Err(violation(format!(
-            "bad header '{header}' (expected '{expected_header}')"
-        )));
-    }
-    let mut jobs = Vec::new();
-    let mut obs = sigcomp_obs::Snapshot::default();
-    let mut done = false;
-    for line in lines {
-        if let Some(rest) = line.strip_prefix("obs ") {
-            if done {
-                return Err(violation("obs line after the done line".to_owned()));
-            }
-            obs.parse_wire_line(rest)
-                .map_err(|e| violation(e.to_string()))?;
-        } else if let Some(rest) = line.strip_prefix("job ") {
-            if done {
-                return Err(violation("job line after the done line".to_owned()));
-            }
-            let (id, provenance) = rest
-                .split_once(' ')
-                .ok_or_else(|| violation(format!("malformed job line '{line}'")))?;
-            let id = u64::from_str_radix(id, 16)
-                .map_err(|_| violation(format!("malformed job id in '{line}'")))?;
-            let from_cache = match provenance {
-                "simulated" => false,
-                "cached" => true,
-                other => {
-                    return Err(violation(format!(
-                        "unknown provenance '{other}' in '{line}'"
-                    )))
-                }
-            };
-            if !expected.contains(&id) {
-                return Err(violation(format!(
-                    "job {id:016x} does not belong to shard {shard}/{shards}"
-                )));
-            }
-            if jobs.iter().any(|&(seen, _)| seen == id) {
-                return Err(violation(format!("job {id:016x} reported twice")));
-            }
-            jobs.push((id, from_cache));
-        } else if let Some(rest) = line.strip_prefix("done ") {
-            let declared = rest
-                .split_whitespace()
-                .find_map(|kv| kv.strip_prefix("jobs="))
-                .and_then(|v| v.parse::<usize>().ok())
-                .ok_or_else(|| violation(format!("malformed done line '{line}'")))?;
-            if declared != jobs.len() {
-                return Err(violation(format!(
-                    "done line declares {declared} jobs but {} were reported",
-                    jobs.len()
-                )));
-            }
-            done = true;
-        } else {
-            return Err(violation(format!("unexpected line '{line}'")));
-        }
-    }
-    if !done {
-        return Err(violation(
-            "report ended without a done line (worker died mid-shard?)".to_owned(),
-        ));
-    }
-    if jobs.len() != expected.len() {
-        return Err(violation(format!(
-            "shard executed {} of its {} assigned jobs",
-            jobs.len(),
-            expected.len()
-        )));
-    }
-    Ok(ShardReport { jobs, obs })
+    })
 }
 
 #[cfg(test)]
@@ -737,23 +506,6 @@ mod tests {
             let err = parse_shard(raw).unwrap_err();
             assert!(err.contains(needle), "{raw:?}: {err}");
         }
-    }
-
-    #[test]
-    fn dedup_groups_by_job_id_with_first_occurrence_leading() {
-        let a = spec(0, OrgKind::Baseline32);
-        let b = spec(0, OrgKind::ByteSerial);
-        let deduped = dedup_jobs(&[a, b, a, b, a]);
-        assert_eq!(deduped.unique, vec![a, b]);
-        assert_eq!(deduped.leader_of, vec![0, 1, 0, 1, 0]);
-        assert_eq!(deduped.leader_position, vec![0, 1]);
-        assert_eq!(deduped.followers(), 3);
-        let followers: Vec<bool> = (0..5).map(|p| deduped.is_follower(p)).collect();
-        assert_eq!(followers, vec![false, false, true, true, true]);
-
-        let empty = dedup_jobs(&[]);
-        assert!(empty.unique.is_empty());
-        assert_eq!(empty.followers(), 0);
     }
 
     #[test]
@@ -855,6 +607,9 @@ mod tests {
 
     #[test]
     fn subprocess_spawn_failures_name_the_shard() {
+        let _guard = crate::scatter::tests::COUNTERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir =
             std::env::temp_dir().join(format!("sigcomp-backend-spawn-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

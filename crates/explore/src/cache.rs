@@ -78,8 +78,8 @@ impl ResultCache {
     }
 
     /// [`ResultCache::load`] without the counter bumps. Used by the
-    /// subprocess and fleet backends when re-reading entries the workers
-    /// just published — those reads are bookkeeping, not cache traffic, and
+    /// scatter/merge core ([`crate::scatter_jobs`]) when re-reading entries
+    /// the workers just published — those reads are bookkeeping, not cache traffic, and
     /// counting them would make a sharded sweep's merged totals disagree
     /// with the same sweep run in-process.
     #[must_use]

@@ -6,17 +6,20 @@
 //! workload size × cache geometry; this crate sweeps whole regions of that
 //! space at once and reports the energy/performance trade-off.
 //!
-//! The engine has five parts:
+//! The engine has these parts:
 //!
 //! * [`SweepSpec`] — a builder that enumerates and filters the cross product
 //!   into [`JobSpec`]s with deterministic indices and content-hashed
 //!   [`JobSpec::job_id`]s,
 //! * [`backend`] — the pluggable execution layer ([`ExecBackend`]):
 //!   [`ExecBackend::LocalThreads`] runs jobs on the in-process
-//!   work-stealing pool, [`ExecBackend::Subprocess`] shards the deduped
-//!   job list across `repro worker` child processes that merge through the
-//!   shared cache — with merged output **byte-identical to the
-//!   single-process run for any shard count**,
+//!   work-stealing pool; [`ExecBackend::Subprocess`] and
+//!   [`ExecBackend::Fleet`] are the one scatter/merge core ([`scatter`])
+//!   with two transports — `repro worker` child processes and remote
+//!   `repro serve` workers (`sigcomp-fabric`). The core dedups, sorts by
+//!   job id, deals shards round-robin, re-shards lost ones and merges
+//!   through the shared cache, with merged output **byte-identical to the
+//!   single-process run for any shard or worker count**,
 //! * [`executor`] — the dependency-free work-stealing thread pool
 //!   (`std` threads + channels) behind the local backend, whose merged
 //!   output is **bit-identical for every worker count**: results are
@@ -24,7 +27,7 @@
 //!   only integer counters,
 //! * [`ResultCache`] — an on-disk cache keyed by job content hash, so
 //!   re-running a sweep only simulates configurations whose parameters
-//!   changed — and the merge point subprocess workers publish through,
+//!   changed — and the merge point scaled-out workers publish through,
 //! * [`report`] — aggregation into per-configuration [`ConfigPoint`]s,
 //!   Pareto-frontier extraction (dynamic-energy saving vs CPI) and CSV/JSON
 //!   export.
@@ -52,12 +55,13 @@ mod cache;
 pub mod executor;
 pub mod prune;
 pub mod report;
+pub mod scatter;
 mod spec;
 mod sweep;
 
 pub use backend::{
-    dedup_jobs, install_fleet_runner, parse_shard, DedupedJobs, ExecBackend, ExecError,
-    FleetConfig, FleetRunner, SubprocessConfig, WORKER_HEADER,
+    install_fleet_runner, parse_shard, ExecBackend, ExecError, FleetConfig, FleetRunner,
+    SubprocessConfig, WORKER_HEADER,
 };
 pub use cache::{
     cache_stats, column_slug, decode_entry, encode_entry, entry_digest, CacheStats, ResultCache,
@@ -65,6 +69,10 @@ pub use cache::{
 pub use executor::{run_parallel, WorkerReport};
 pub use prune::{static_prune, PruneOutcome, PruneReason, PrunedJob};
 pub use report::{config_points, frontier_table, pareto_frontier, to_csv, to_json, ConfigPoint};
+pub use scatter::{
+    dedup_jobs, round_robin, scatter_jobs, DedupedJobs, JobLedger, Shard, ShardOutcome,
+    ShardReport, ShardTransport,
+};
 pub use spec::{JobSpec, MemProfile, SweepSpec, TraceInput, TraceSource, SWEEP_FORMAT_VERSION};
 pub use sweep::{
     run_jobs, run_jobs_traced, run_sweep, simulate_decoded, simulate_job, simulate_trace,

@@ -10,6 +10,7 @@
 use crate::spec::MemProfile;
 use crate::sweep::JobOutcome;
 use sigcomp::{ActivityReport, EnergyModel, ExtScheme};
+use sigcomp_obs::json_escape;
 use sigcomp_pipeline::OrgKind;
 use sigcomp_workloads::WorkloadSize;
 use std::fmt::Write as _;
@@ -287,26 +288,6 @@ fn json_cpi(cpi: f64) -> String {
     } else {
         "null".to_owned()
     }
-}
-
-/// Escapes `s` for embedding inside a JSON string literal (quotes not
-/// included). Clean identifiers pass through byte-identically.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Serializes per-job outcomes as CSV (header + one row per job), in job

@@ -374,8 +374,9 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepSummary {
 /// [`SweepSummary::outcomes`] comes back in `jobs` order. On the local
 /// backend duplicate specs in `jobs` are each answered — batch
 /// deduplication is the caller's concern, keyed by [`JobSpec::job_id`]
-/// (see [`crate::dedup_jobs`]); the subprocess backend dedups internally
-/// and answers follower positions from their leader's run.
+/// (see [`crate::dedup_jobs`]); the subprocess and fleet backends dedup
+/// internally ([`crate::scatter_jobs`]) and answer follower positions from
+/// their leader's run.
 ///
 /// # Errors
 ///
@@ -442,7 +443,11 @@ pub fn run_jobs_traced(
 
 /// The [`ExecBackend::LocalThreads`] engine: every job on the in-process
 /// work-stealing executor, results reassembled in job order.
-fn run_jobs_local(jobs: &[JobSpec], traces: &[TraceInput], options: &SweepOptions) -> SweepSummary {
+pub(crate) fn run_jobs_local(
+    jobs: &[JobSpec],
+    traces: &[TraceInput],
+    options: &SweepOptions,
+) -> SweepSummary {
     // Mirror the executor's clamp so the summary reports the worker count
     // actually used.
     let workers = options.effective_workers().min(jobs.len().max(1));

@@ -14,7 +14,7 @@
 //! dead peer must turn into a timely named error, never a hang.
 
 use std::collections::HashMap;
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, BufRead, BufReader, Read as _, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -163,72 +163,68 @@ impl HttpClient {
 /// Writes one request and reads one framed response off the stream.
 fn exchange(stream: &mut TcpStream, request: &[u8]) -> io::Result<HttpResponse> {
     stream.write_all(request)?;
-    read_response(stream)
+    read_response(&mut BufReader::new(stream))
 }
 
-/// Reads exactly one response: head until the blank line, then a body of
-/// exactly `Content-Length` bytes (or to EOF when the server did not frame
-/// it — such a response is terminal for the connection and never pooled).
-fn read_response(stream: &mut TcpStream) -> io::Result<HttpResponse> {
+/// Reads exactly one response off `reader`: the head up to its blank line
+/// (CRLF or bare-LF framing), then a body of exactly `Content-Length`
+/// bytes, or to EOF when the server did not frame it — such a response is
+/// terminal for the connection. Bytes past a framed response stay in
+/// `reader`, so pipelined responses can be read back to back.
+///
+/// # Errors
+///
+/// The reader's I/O error, [`io::ErrorKind::UnexpectedEof`] when the peer
+/// closed before sending anything, and [`io::ErrorKind::InvalidData`] for
+/// a malformed, truncated or oversized response.
+pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<HttpResponse> {
     let bad = |reason: &str| io::Error::new(io::ErrorKind::InvalidData, reason.to_owned());
-    let mut raw = Vec::new();
-    let mut buf = [0_u8; 16 * 1024];
-    let head_end = loop {
-        if let Some(pos) = find_blank_line(&raw) {
-            break pos;
+    let mut head = Vec::new();
+    loop {
+        let start = head.len();
+        let room = (MAX_HEAD_BYTES + 1 - start) as u64;
+        if reader.take(room).read_until(b'\n', &mut head)? == 0 && start == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed before the response",
+            ));
         }
-        if raw.len() > MAX_HEAD_BYTES {
+        if head.len() > MAX_HEAD_BYTES {
             return Err(bad("response head exceeds the size cap"));
         }
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            return Err(if raw.is_empty() {
-                io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed before the response",
-                )
-            } else {
-                bad("connection closed inside the response head")
-            });
+        match &head[start..] {
+            b"\r\n" | b"\n" => break,
+            line if !line.ends_with(b"\n") => {
+                return Err(bad(
+                    "connection closed inside the response head (no header/body separator)",
+                ))
+            }
+            _ => {}
         }
-        raw.extend_from_slice(&buf[..n]);
-    };
-    let head = String::from_utf8_lossy(&raw[..head_end]).into_owned();
-    let (status, headers) = parse_head(&head)?;
+    }
+    let (status, headers) = parse_head(&String::from_utf8_lossy(&head))?;
     let content_length: Option<usize> = headers
         .iter()
         .find(|(k, _)| k == "content-length")
         .and_then(|(_, v)| v.parse().ok());
-    let mut body = raw.split_off(head_end);
-    // `split_off` leaves the head in `raw`; the separator rode along at the
-    // front of `body`.
-    let sep = if body.starts_with(b"\r\n\r\n") { 4 } else { 2 };
-    body.drain(..sep.min(body.len()));
+    let mut body = Vec::new();
     match content_length {
+        Some(len) if len > MAX_RESPONSE_BYTES => {
+            return Err(bad("response body exceeds the size cap"));
+        }
         Some(len) => {
-            if len > MAX_RESPONSE_BYTES {
-                return Err(bad("response body exceeds the size cap"));
+            reader.take(len as u64).read_to_end(&mut body)?;
+            if body.len() < len {
+                return Err(bad("connection closed inside the response body"));
             }
-            while body.len() < len {
-                let n = stream.read(&mut buf)?;
-                if n == 0 {
-                    return Err(bad("connection closed inside the response body"));
-                }
-                body.extend_from_slice(&buf[..n]);
-            }
-            body.truncate(len);
         }
         None => {
             // Unframed: the close is the frame. Read to EOF (bounded).
-            loop {
-                if body.len() > MAX_RESPONSE_BYTES {
-                    return Err(bad("response body exceeds the size cap"));
-                }
-                let n = stream.read(&mut buf)?;
-                if n == 0 {
-                    break;
-                }
-                body.extend_from_slice(&buf[..n]);
+            reader
+                .take(MAX_RESPONSE_BYTES as u64 + 1)
+                .read_to_end(&mut body)?;
+            if body.len() > MAX_RESPONSE_BYTES {
+                return Err(bad("response body exceeds the size cap"));
             }
         }
     }
@@ -237,14 +233,6 @@ fn read_response(stream: &mut TcpStream) -> io::Result<HttpResponse> {
         headers,
         body: String::from_utf8_lossy(&body).into_owned(),
     })
-}
-
-/// Index just past the status line + headers, i.e. the start of the blank
-/// line, accepting both CRLF and bare-LF framing.
-fn find_blank_line(raw: &[u8]) -> Option<usize> {
-    raw.windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .or_else(|| raw.windows(2).position(|w| w == b"\n\n").map(|p| p + 1))
 }
 
 fn parse_head(head: &str) -> io::Result<(u16, Vec<(String, String)>)> {
@@ -268,27 +256,19 @@ fn parse_head(head: &str) -> io::Result<(u16, Vec<(String, String)>)> {
     Ok((status, headers))
 }
 
-/// Parses a complete raw response (head + body already in hand) — the
-/// EOF-framed form, pinned by tests as the parser's baseline behavior.
-#[cfg(test)]
-fn parse_response(raw: &[u8]) -> io::Result<HttpResponse> {
-    let bad = |reason: &str| io::Error::new(io::ErrorKind::InvalidData, reason.to_owned());
-    let text = String::from_utf8_lossy(raw);
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| bad("response has no header/body separator"))?;
-    let (status, headers) = parse_head(head)?;
-    Ok(HttpResponse {
-        status,
-        headers,
-        body: body.to_owned(),
-    })
+/// Parses a complete raw response (head and body already in hand) with
+/// [`read_response`].
+///
+/// # Errors
+///
+/// As [`read_response`].
+pub fn parse_response(raw: &[u8]) -> io::Result<HttpResponse> {
+    read_response(&mut &raw[..])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead as _, BufReader};
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicUsize, Ordering};
 

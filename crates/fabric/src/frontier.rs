@@ -1,42 +1,39 @@
-//! The frontier: the fleet runner installed into `sigcomp-explore`.
+//! The frontier: the fleet transport of the scatter/merge core.
 //!
 //! [`run_fleet_jobs`] is the [`FleetRunner`](sigcomp_explore::FleetRunner)
-//! behind [`ExecBackend::Fleet`](sigcomp_explore::ExecBackend) and upholds
-//! the contract every backend shares: outcomes in submission order, merged
-//! output **byte-identical to a single-process run** for any worker count —
-//! including zero workers, a worker list full of dead addresses, or a
-//! worker killed mid-sweep.
+//! behind [`ExecBackend::Fleet`](sigcomp_explore::ExecBackend). It picks
+//! the live workers and hands the sweep to
+//! [`sigcomp_explore::scatter_jobs`], which dedups, sorts by job id, deals
+//! shards round-robin, re-shards a lost worker's jobs, falls back to local
+//! execution and merges through the [`ResultCache`](sigcomp_explore::ResultCache)
+//! — byte-identical to a single process for any worker count, including
+//! zero, a list of dead addresses, or a worker killed mid-sweep.
 //!
-//! The shape deliberately mirrors the subprocess backend: dedup, sort the
-//! unique jobs by content-hashed id, partition round-robin, execute, then
-//! restore *everything* from the shared [`ResultCache`] and fold totals per
-//! submitted position. Only the middle differs — instead of child
-//! processes on one machine, shards travel as `POST /fleet/dispatch` bodies
-//! to worker servers, and results come back as digest-verified cache-entry
-//! bytes that the frontier replicates into its own cache. Because the cache
-//! is the merge point and entries are keyed by config hash, the merge logic
-//! cannot tell (and does not care) which machine produced a result.
+//! This module is only the transport: a shard travels as one `POST
+//! /fleet/dispatch` body with retry and backoff, and its results come back
+//! as digest-verified cache-entry bytes replicated into the local cache.
+//! Entries are keyed by config hash, so the merge cannot tell which machine
+//! produced a result.
 
 use crate::client::HttpClient;
 use crate::pool::{self, WorkerPool, DEFAULT_LIVENESS_TTL};
 use crate::proto::{self, FleetReport};
 use sigcomp_explore::{
-    dedup_jobs, ExecBackend, ExecError, FleetConfig, JobSpec, SweepOptions, SweepShard,
-    SweepSummary, TraceInput, TraceSource,
+    scatter_jobs, ExecError, FleetConfig, JobSpec, Shard, ShardOutcome, ShardReport,
+    ShardTransport, SweepOptions, SweepSummary, TraceInput, TraceSource,
 };
-use std::collections::{HashMap, HashSet};
-use std::time::{Duration, Instant};
+use std::collections::HashSet;
+use std::time::Duration;
 
 /// Upper bound on the exponential retry backoff.
 const MAX_BACKOFF: Duration = Duration::from_secs(2);
 
-/// Runs `jobs` across the fleet: dedup, shard round-robin over the live
-/// workers, dispatch with retry/backoff, re-shard a dead worker's jobs to
-/// the survivors, and degrade to local execution when no workers remain.
+/// Runs `jobs` across the fleet through the scatter/merge core.
 ///
 /// Workers come from [`FleetConfig::workers`] when non-empty, otherwise
 /// from the registered [`pool::global()`] members that heartbeated within
-/// [`DEFAULT_LIVENESS_TTL`].
+/// [`DEFAULT_LIVENESS_TTL`]; they are sorted so the partition is a pure
+/// function of the worker set.
 ///
 /// # Errors
 ///
@@ -52,8 +49,6 @@ pub fn run_fleet_jobs(
     options: &SweepOptions,
     config: &FleetConfig,
 ) -> Result<SweepSummary, ExecError> {
-    let cache = options.cache.as_ref().ok_or(ExecError::CacheRequired)?;
-    let started = Instant::now();
     if let Some(job) = jobs
         .iter()
         .find(|j| matches!(j.source, TraceSource::File { .. }))
@@ -64,34 +59,6 @@ pub fn run_fleet_jobs(
             job.job_id()
         )));
     }
-    let _ = traces; // kernel-only for now; kept for runner-signature parity
-    if jobs.is_empty() {
-        return Ok(SweepSummary {
-            outcomes: Vec::new(),
-            totals: SweepShard::default(),
-            worker_loads: Vec::new(),
-            workers: 0,
-            wall: started.elapsed(),
-            backend: "fleet",
-            shard_obs: Vec::new(),
-        });
-    }
-
-    let deduped = dedup_jobs(jobs);
-    // Sorted by job id: the dispatch order is a pure function of the job
-    // contents, so any fleet shape partitions the same list the same way.
-    let mut ordered: Vec<(u64, usize)> = deduped
-        .unique
-        .iter()
-        .enumerate()
-        .map(|(u, job)| (job.job_id(), u))
-        .collect();
-    ordered.sort_unstable_by_key(|&(id, _)| id);
-    let spec_of: HashMap<u64, JobSpec> = ordered
-        .iter()
-        .map(|&(id, u)| (id, deduped.unique[u]))
-        .collect();
-
     let pool = pool::global();
     let mut live: Vec<String> = if config.workers.is_empty() {
         pool.live(DEFAULT_LIVENESS_TTL)
@@ -100,159 +67,57 @@ pub fn run_fleet_jobs(
     };
     live.sort_unstable();
     live.dedup();
+    let dispatcher = Dispatcher {
+        client: HttpClient::new(Duration::from_millis(config.timeout_ms.max(1))),
+        config,
+        pool,
+    };
+    scatter_jobs(jobs, traces, options, &dispatcher, live)
+}
 
-    let obs = sigcomp_obs::global();
-    let client = HttpClient::new(Duration::from_millis(config.timeout_ms.max(1)));
-    let mut pending: Vec<u64> = ordered.iter().map(|&(id, _)| id).collect();
-    let mut provenance: HashMap<u64, bool> = HashMap::new();
-    let mut worker_loads: Vec<(u64, u64)> = Vec::new();
-    let mut shard_obs: Vec<sigcomp_obs::Snapshot> = Vec::new();
+/// The fleet transport: one worker server per slot.
+struct Dispatcher<'a> {
+    client: HttpClient,
+    config: &'a FleetConfig,
+    pool: &'a WorkerPool,
+}
 
-    while !pending.is_empty() && !live.is_empty() {
-        // Round-robin partition of the pending (id-sorted) jobs over the
-        // live workers, skipping workers the round leaves empty.
-        let assignments: Vec<(String, Vec<u64>)> = live
-            .iter()
-            .enumerate()
-            .map(|(i, addr)| {
-                let ids: Vec<u64> = pending
-                    .iter()
-                    .enumerate()
-                    .filter(|(rank, _)| rank % live.len() == i)
-                    .map(|(_, &id)| id)
-                    .collect();
-                (addr.clone(), ids)
-            })
-            .filter(|(_, ids)| !ids.is_empty())
-            .collect();
+impl ShardTransport for Dispatcher<'_> {
+    type Slot = String;
+    const BACKEND: &'static str = "fleet";
 
-        let results: Vec<(String, Result<FleetReport, String>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = assignments
-                .iter()
-                .map(|(addr, ids)| {
-                    let client = &client;
-                    let spec_of = &spec_of;
-                    scope.spawn(move || {
-                        let shard: Vec<JobSpec> = ids.iter().map(|id| spec_of[id]).collect();
-                        let outcome = dispatch_with_retry(client, addr, &shard, config, pool);
-                        (addr.clone(), outcome)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("dispatch thread never panics"))
-                .collect()
-        });
-
-        let mut completed: HashSet<u64> = HashSet::new();
-        let mut survivors: Vec<String> = Vec::new();
-        let mut lost = false;
-        for (addr, outcome) in results {
-            match outcome {
-                Ok(report) => {
-                    // Replicate the worker's verified entry bytes into the
-                    // local cache. Store failures are deliberately ignored
-                    // here: the restore pass below is the arbiter, and a
-                    // genuinely missing entry becomes ResultMissing there.
-                    for (id, text) in &report.entries {
-                        let _ = cache.store_entry_text(*id, text);
-                    }
-                    for &(id, from_cache) in &report.jobs {
-                        provenance.insert(id, from_cache);
-                        completed.insert(id);
-                    }
-                    obs.counter("fleet.frontier.dispatches").incr();
-                    obs.counter("fleet.frontier.jobs_remote")
-                        .add(report.jobs.len() as u64);
-                    pool.note_dispatch(&addr);
-                    pool.update_obs(&addr, report.obs.clone());
-                    worker_loads.push((report.jobs.len() as u64, 0));
-                    shard_obs.push(report.obs);
-                    survivors.push(addr);
-                }
-                Err(_detail) => {
-                    // The worker exhausted its attempts: drop it from this
-                    // sweep and hand its jobs back to the pending set.
-                    obs.counter("fleet.frontier.workers_lost").incr();
-                    pool.note_failure(&addr);
-                    lost = true;
-                }
-            }
-        }
-        pending.retain(|id| !completed.contains(id));
-        live = survivors;
-        if lost && !pending.is_empty() && !live.is_empty() {
-            obs.counter("fleet.frontier.reshards").incr();
-        }
-    }
-
-    // Graceful degradation: anything still pending (no workers registered,
-    // or the whole fleet died) runs locally over the same cache, so the
-    // sweep always completes and always merges identically.
-    if !pending.is_empty() {
-        let local_specs: Vec<JobSpec> = pending.iter().map(|id| spec_of[id]).collect();
-        let local_options = SweepOptions {
-            workers: options.workers,
-            cache: Some(cache.clone()),
-            backend: ExecBackend::LocalThreads,
+    fn run_shard(&self, addr: &String, shard: Shard<'_>) -> Result<ShardOutcome, ExecError> {
+        let jobs: Vec<JobSpec> = shard.jobs().copied().collect();
+        let Some(report) = dispatch_with_retry(&self.client, addr, &jobs, self.config, self.pool)
+        else {
+            // The worker exhausted its attempts: the core drops it from
+            // this sweep and re-shards its jobs.
+            self.pool.note_failure(addr);
+            return Ok(ShardOutcome::Lost);
         };
-        let local = sigcomp_explore::try_run_jobs_traced(&local_specs, &[], &local_options)
-            .map_err(|e| ExecError::Config(format!("local fallback failed: {e}")))?;
-        obs.counter("fleet.frontier.jobs_local")
-            .add(local.outcomes.len() as u64);
-        for outcome in &local.outcomes {
-            provenance.insert(outcome.spec.job_id(), outcome.from_cache);
+        // Replicate the worker's verified entry bytes into the local cache.
+        // Store failures are deliberately ignored: the core's restore pass
+        // is the arbiter, and a missing entry becomes ResultMissing there.
+        for (id, text) in &report.entries {
+            let _ = shard.cache.store_entry_text(*id, text);
         }
-        worker_loads.push((local.outcomes.len() as u64, 0));
+        let obs = sigcomp_obs::global();
+        obs.counter("fleet.frontier.dispatches").incr();
+        obs.counter("fleet.frontier.jobs_remote")
+            .add(report.jobs.len() as u64);
+        self.pool.note_dispatch(addr);
+        self.pool.update_obs(addr, report.obs.clone());
+        Ok(ShardOutcome::Done(ShardReport {
+            jobs: report.jobs,
+            obs: report.obs,
+        }))
     }
-
-    // Merge through the cache, exactly like the subprocess backend: restore
-    // every unique job unobserved (the cache traffic happened where the job
-    // ran) and fold totals per submitted position.
-    let mut metrics_of = HashMap::with_capacity(ordered.len());
-    for &(id, _) in &ordered {
-        let metrics = cache
-            .load_unobserved(id)
-            .ok_or(ExecError::ResultMissing { job_id: id })?;
-        metrics_of.insert(id, metrics);
-    }
-    let mut totals = SweepShard::default();
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    for (pos, &leader) in deduped.leader_of.iter().enumerate() {
-        let spec = deduped.unique[leader];
-        let id = spec.job_id();
-        let metrics = metrics_of[&id];
-        let from_cache = deduped.is_follower(pos) || provenance[&id];
-        totals.activity.merge(&metrics.activity);
-        if from_cache {
-            totals.cached += 1;
-        } else {
-            totals.simulated += 1;
-            totals.instructions_simulated += metrics.instructions;
-        }
-        outcomes.push(sigcomp_explore::JobOutcome {
-            spec,
-            metrics,
-            from_cache,
-        });
-    }
-
-    let workers = worker_loads.len();
-    Ok(SweepSummary {
-        outcomes,
-        totals,
-        worker_loads,
-        workers,
-        wall: started.elapsed(),
-        backend: "fleet",
-        shard_obs,
-    })
 }
 
 /// One worker's shard: up to [`FleetConfig::attempts`] `POST /fleet/dispatch`
 /// exchanges with exponential backoff, each response verified by
-/// [`proto::parse_report`] against the exact id set dispatched.
+/// [`proto::parse_report`] against the exact id set dispatched. `None`
+/// once every attempt failed.
 ///
 /// An overloaded worker's `503` honors its `Retry-After` header (capped at
 /// [`MAX_BACKOFF`]); every other failure — connect/read timeout, non-200
@@ -263,11 +128,10 @@ fn dispatch_with_retry(
     shard: &[JobSpec],
     config: &FleetConfig,
     pool: &WorkerPool,
-) -> Result<FleetReport, String> {
+) -> Option<FleetReport> {
     let body = proto::encode_dispatch(shard);
     let expected: HashSet<u64> = shard.iter().map(JobSpec::job_id).collect();
     let attempts = config.attempts.max(1);
-    let mut last_error = String::new();
     for attempt in 0..attempts {
         if attempt > 0 {
             pool.note_retry(addr);
@@ -278,43 +142,31 @@ fn dispatch_with_retry(
         let mut backoff = Duration::from_millis(100 << attempt.min(8)).min(MAX_BACKOFF);
         match client.post(addr, "/fleet/dispatch", &body) {
             Ok(response) if response.status == 200 => {
-                match proto::parse_report(&response.body, &expected) {
-                    Ok(report) => return Ok(report),
-                    Err(detail) => last_error = format!("protocol violation: {detail}"),
+                if let Ok(report) = proto::parse_report(&response.body, &expected) {
+                    return Some(report);
                 }
             }
-            Ok(response) => {
-                if response.status == 503 {
-                    if let Some(secs) = response
-                        .header("retry-after")
-                        .and_then(|v| v.parse::<u64>().ok())
-                    {
-                        backoff = Duration::from_secs(secs).min(MAX_BACKOFF);
-                    }
+            Ok(response) if response.status == 503 => {
+                if let Some(secs) = response
+                    .header("retry-after")
+                    .and_then(|v| v.parse::<u64>().ok())
+                {
+                    backoff = Duration::from_secs(secs).min(MAX_BACKOFF);
                 }
-                let body = response.body.trim();
-                last_error = format!(
-                    "HTTP {}{}{}",
-                    response.status,
-                    if body.is_empty() { "" } else { ": " },
-                    body
-                );
             }
-            Err(error) => last_error = format!("request failed: {error}"),
+            Ok(_) | Err(_) => {}
         }
         if attempt + 1 < attempts {
             std::thread::sleep(backoff);
         }
     }
-    Err(format!(
-        "worker {addr} failed after {attempts} attempts: {last_error}"
-    ))
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sigcomp_explore::{ResultCache, SweepSpec};
+    use sigcomp_explore::{ExecBackend, ResultCache, SweepSpec};
     use sigcomp_workloads::WorkloadSize;
 
     fn jobs() -> Vec<JobSpec> {

@@ -1,40 +1,39 @@
 //! # sigcomp-fabric
 //!
-//! The distributed sweep fabric: a **frontier/worker topology over HTTP**
-//! that promotes the PR 5 subprocess scale-out to a fleet of machines while
-//! preserving its merge invariant — *N hosts × M shards byte-identical to
-//! one process*.
+//! The distributed sweep fabric: a **frontier/worker topology over HTTP**,
+//! the fleet transport of the scatter/merge core in `sigcomp-explore`
+//! ([`sigcomp_explore::scatter`]). The core owns dedup, the id sort, the
+//! round-robin partition, re-sharding, the local fallback and the merge;
+//! this crate only carries shards to machines — so *N hosts × M shards*
+//! stay byte-identical to one process, exactly as `--shards` does.
 //!
 //! Workers are ordinary `repro serve` processes. They register with a
 //! frontier (`POST /register`), then heartbeat periodically with their
 //! capacity and observability snapshot (`POST /heartbeat`); the frontier
-//! tracks them in a [`WorkerPool`]. A sweep run on
-//! [`ExecBackend::Fleet`](sigcomp_explore::ExecBackend) is deduplicated,
-//! sorted by content-hashed [`JobSpec::job_id`](sigcomp_explore::JobSpec)
-//! (so the partition is a pure function of the job *contents*), sharded
-//! round-robin across the live workers, and dispatched as one
-//! `POST /fleet/dispatch` per worker carrying
+//! tracks them in a [`WorkerPool`]. On
+//! [`ExecBackend::Fleet`](sigcomp_explore::ExecBackend) each shard is one
+//! `POST /fleet/dispatch` carrying
 //! [`JobSpec::to_wire`](sigcomp_explore::JobSpec::to_wire) lines — the same
 //! wire grammar the subprocess backend broadcasts on stdin.
 //!
 //! Results come back as **replicated cache entries**: each worker answers
 //! with the exact on-disk [`ResultCache`](sigcomp_explore::ResultCache)
 //! entry text for every job, guarded by an FNV-1a digest
-//! ([`sigcomp_explore::entry_digest`]). The frontier verifies each digest,
-//! publishes the bytes into its own cache
+//! ([`sigcomp_explore::entry_digest`]). The frontier verifies each digest
+//! and publishes the bytes into its own cache
 //! ([`ResultCache::store_entry_text`](sigcomp_explore::ResultCache::store_entry_text)),
-//! and restores every outcome from the cache in submission order — the
-//! cache is the merge point, generalized across machines. Every entry is
-//! keyed by config hash, so replication is conflict-free by construction:
-//! two workers racing the same key write identical bytes.
+//! from which the core restores every outcome. Entries are keyed by config
+//! hash, so replication is conflict-free: two workers racing the same key
+//! write identical bytes.
 //!
-//! Robustness is first-class:
+//! Robustness:
 //!
 //! * per-dispatch timeouts with bounded retry + exponential backoff
 //!   ([`FleetConfig`](sigcomp_explore::FleetConfig)),
-//! * a worker that exhausts its attempts (killed mid-sweep, say) is dropped
-//!   and its outstanding jobs are **re-sharded** across the survivors,
-//! * with no workers left (or none registered), the frontier **degrades
+//! * a worker that exhausts its attempts (killed mid-sweep, say) is
+//!   reported lost, and the core **re-shards** its jobs across the
+//!   survivors,
+//! * with no workers left (or none registered), the core **degrades
 //!   gracefully to local execution** over the same cache — the sweep always
 //!   completes, byte-identically.
 //!
@@ -54,7 +53,7 @@ pub mod pool;
 pub mod proto;
 pub mod worker;
 
-pub use client::{HttpClient, HttpResponse};
+pub use client::{parse_response, read_response, HttpClient, HttpResponse};
 pub use frontier::run_fleet_jobs;
 pub use pool::{WorkerPool, WorkerStatus, DEFAULT_LIVENESS_TTL};
 pub use proto::{

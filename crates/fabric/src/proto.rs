@@ -31,7 +31,9 @@
 //! done jobs=2
 //! ```
 
-use sigcomp_explore::{decode_entry, encode_entry, entry_digest, JobMetrics, JobSpec, TraceSource};
+use sigcomp_explore::{
+    decode_entry, encode_entry, entry_digest, JobLedger, JobMetrics, JobSpec, TraceSource,
+};
 use sigcomp_obs::Snapshot;
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -128,12 +130,7 @@ pub fn encode_report(outcomes: &[DispatchOutcome], obs: &Snapshot) -> String {
     for outcome in outcomes {
         let id = outcome.spec.job_id();
         let text = encode_entry(&outcome.metrics);
-        let provenance = if outcome.from_cache {
-            "cached"
-        } else {
-            "simulated"
-        };
-        let _ = writeln!(out, "job {id:016x} {provenance}");
+        let _ = writeln!(out, "{}", JobLedger::line(id, outcome.from_cache));
         let _ = writeln!(
             out,
             "entry {id:016x} {:016x} lines={}",
@@ -160,13 +157,10 @@ pub fn encode_report(outcomes: &[DispatchOutcome], obs: &Snapshot) -> String {
 /// frontier treats the worker that produced one as failed.
 pub fn parse_report(body: &str, expected: &HashSet<u64>) -> Result<FleetReport, String> {
     let mut lines = body.lines();
-    let header = loop {
-        match lines.next() {
-            None => return Err("empty report".to_owned()),
-            Some(l) if l.trim().is_empty() => {}
-            Some(l) => break l,
-        }
-    };
+    let header = lines
+        .by_ref()
+        .find(|l| !l.trim().is_empty())
+        .ok_or("empty report")?;
     let declared = header
         .strip_prefix(FLEET_HEADER)
         .and_then(|rest| rest.trim().strip_prefix("report jobs="))
@@ -175,38 +169,20 @@ pub fn parse_report(body: &str, expected: &HashSet<u64>) -> Result<FleetReport, 
             format!("bad report header '{header}' (expected '{FLEET_HEADER} report jobs=N')")
         })?;
 
+    let mut ledger = JobLedger::new(expected, "was not dispatched to this worker");
     let mut report = FleetReport::default();
     let mut awaiting_entry: Option<u64> = None;
-    let mut done = false;
     while let Some(line) = lines.next() {
         if line.trim().is_empty() {
             continue;
         }
-        if done {
-            return Err(format!("line after the done line: '{line}'"));
+        ledger.check_open(line)?;
+        // A job line must be followed by its entry block, nothing else.
+        if let Some(id) = awaiting_entry.filter(|_| !line.starts_with("entry ")) {
+            return Err(format!("job {id:016x} has no entry block"));
         }
-        if let Some(rest) = line.strip_prefix("job ") {
-            if let Some(id) = awaiting_entry {
-                return Err(format!("job {id:016x} has no entry block"));
-            }
-            let (id, provenance) = rest
-                .split_once(' ')
-                .ok_or_else(|| format!("malformed job line '{line}'"))?;
-            let id =
-                u64::from_str_radix(id, 16).map_err(|_| format!("malformed job id in '{line}'"))?;
-            let from_cache = match provenance {
-                "simulated" => false,
-                "cached" => true,
-                other => return Err(format!("unknown provenance '{other}' in '{line}'")),
-            };
-            if !expected.contains(&id) {
-                return Err(format!("job {id:016x} was not dispatched to this worker"));
-            }
-            if report.jobs.iter().any(|&(seen, _)| seen == id) {
-                return Err(format!("job {id:016x} reported twice"));
-            }
-            report.jobs.push((id, from_cache));
-            awaiting_entry = Some(id);
+        if line.starts_with("job ") {
+            awaiting_entry = Some(ledger.job(line)?);
         } else if let Some(rest) = line.strip_prefix("entry ") {
             let job_id = awaiting_entry
                 .take()
@@ -251,47 +227,21 @@ pub fn parse_report(body: &str, expected: &HashSet<u64>) -> Result<FleetReport, 
             }
             report.entries.push((id, text));
         } else if let Some(rest) = line.strip_prefix("obs ") {
-            if awaiting_entry.is_some() {
-                return Err(format!("obs line inside a job block: '{line}'"));
-            }
             report
                 .obs
                 .parse_wire_line(rest)
                 .map_err(|e| e.to_string())?;
-        } else if let Some(rest) = line.strip_prefix("done ") {
-            if let Some(id) = awaiting_entry {
-                return Err(format!("job {id:016x} has no entry block"));
-            }
-            let trailer = rest
-                .split_whitespace()
-                .find_map(|kv| kv.strip_prefix("jobs="))
-                .and_then(|v| v.parse::<usize>().ok())
-                .ok_or_else(|| format!("malformed done line '{line}'"))?;
-            if trailer != report.jobs.len() {
-                return Err(format!(
-                    "done line declares {trailer} jobs but {} were reported",
-                    report.jobs.len()
-                ));
-            }
-            done = true;
+        } else if line.starts_with("done ") {
+            ledger.done(line)?;
         } else {
             return Err(format!("unexpected line '{line}'"));
         }
     }
-    if !done {
-        return Err("report ended without a done line (worker died mid-dispatch?)".to_owned());
-    }
+    report.jobs = ledger.finish()?;
     if declared != report.jobs.len() {
         return Err(format!(
             "report header declares {declared} jobs but {} were reported",
             report.jobs.len()
-        ));
-    }
-    if report.jobs.len() != expected.len() {
-        return Err(format!(
-            "worker answered {} of its {} dispatched jobs",
-            report.jobs.len(),
-            expected.len()
         ));
     }
     Ok(report)

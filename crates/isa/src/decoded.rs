@@ -69,6 +69,12 @@ pub struct DecodedTrace {
     side: Vec<u32>,
 }
 
+/// The most records [`DecodedTrace::from_reader`] preallocates for, well
+/// above the longest default-size kernel trace (~69k records). A forged
+/// `records=` header can therefore cost at most this much memory before
+/// the stream is found short.
+const MAX_PREALLOC_RECORDS: u64 = 1 << 20;
+
 impl DecodedTrace {
     /// Builds an arena from an in-memory [`Trace`] (the interpreter's
     /// output). Field layout mirrors the `.sctrace` record encoding.
@@ -96,7 +102,9 @@ impl DecodedTrace {
     /// Any stream violation, with the same named error the streaming path
     /// yields.
     pub fn from_reader<R: BufRead>(mut reader: TraceReader<R>) -> Result<Self, TraceFileError> {
-        let declared = usize::try_from(reader.records()).unwrap_or(0);
+        // The header's count is untrusted until the stream proves it, so it
+        // only sizes the arena up to a cap; longer traces grow past it.
+        let declared = reader.records().min(MAX_PREALLOC_RECORDS) as usize;
         let mut arena = DecodedTrace {
             pc: Vec::with_capacity(declared),
             word: Vec::with_capacity(declared),

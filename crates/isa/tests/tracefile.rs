@@ -7,7 +7,7 @@ use sigcomp_isa::tracefile::{
     collect_records, payload_digest, write_trace, TraceFileError, TraceReader, TraceWriter,
 };
 use sigcomp_isa::{
-    reg, ExecRecord, Instruction, Interpreter, MemAccess, Op, ProgramBuilder, Trace,
+    reg, DecodedTrace, ExecRecord, Instruction, Interpreter, MemAccess, Op, ProgramBuilder, Trace,
 };
 use std::io::Cursor;
 
@@ -166,6 +166,33 @@ fn oversized_record_counts_are_reported_as_truncation() {
             assert_eq!(index, trace.len() as u64);
         }
         other => panic!("expected TruncatedRecord, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_forged_record_count_is_the_same_named_error_on_both_decoders() {
+    // The golden rawcaudio trace with only its header count inflated to
+    // four trillion: decoding must not try to preallocate for it.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/data/rawcaudio.sctrace"
+    );
+    let bytes = std::fs::read(path).expect("golden trace");
+    let offset = payload_offset(&bytes);
+    let header = String::from_utf8_lossy(&bytes[..offset]).into_owned();
+    let forged_header = header.replace("records=4332\n", "records=4000000000000\n");
+    assert_ne!(forged_header, header, "replacement must hit");
+    let mut forged = forged_header.into_bytes();
+    forged.extend_from_slice(&bytes[offset..]);
+
+    let streamed = from_bytes(&forged).unwrap_err();
+    let arena =
+        DecodedTrace::from_reader(TraceReader::new(Cursor::new(&forged)).unwrap()).unwrap_err();
+    for err in [streamed, arena] {
+        assert!(
+            matches!(err, TraceFileError::TruncatedRecord { index: 4332 }),
+            "{err:?}"
+        );
     }
 }
 

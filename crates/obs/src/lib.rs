@@ -31,7 +31,33 @@ pub use registry::{Counter, Gauge, Registry};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use span::Span;
 
+use std::fmt::Write as _;
 use std::sync::OnceLock;
+
+/// Escapes `s` for embedding inside a JSON string literal (quotes not
+/// included): `"` and `\` are backslash-escaped, `\n`, `\r` and `\t` take
+/// their short forms, every other control character becomes `\u00XX`.
+/// Clean identifiers pass through byte-identically. The one JSON string
+/// escaper of the workspace: obs event logs, serve responses, sweep and
+/// static-analysis exports and bench reports all write through it.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
 

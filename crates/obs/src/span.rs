@@ -4,6 +4,7 @@
 //! attached.
 
 use crate::histogram::Histogram;
+use crate::json_escape;
 use crate::registry::{Registry, SinkState};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -62,34 +63,20 @@ impl Drop for Span {
             let _ = write!(
                 line,
                 "{{\"span\": \"{}\", \"ts_us\": {ts}, \"dur_us\": {us}",
-                escape(&self.name)
+                json_escape(&self.name)
             );
             for (key, value) in &self.fields {
-                let _ = write!(line, ", \"{}\": \"{}\"", escape(key), escape(value));
+                let _ = write!(
+                    line,
+                    ", \"{}\": \"{}\"",
+                    json_escape(key),
+                    json_escape(value)
+                );
             }
             line.push('}');
             Registry::log_line(&self.sink, &line);
         }
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Starts an RAII span on the [`global()`](crate::global) registry.

@@ -14,12 +14,13 @@
 //! pure string work — no I/O, no locks, no unbounded recursion.
 
 use crate::batch::BatchedResult;
-use crate::json::{escape, Json};
+use crate::json::Json;
 use sigcomp::{ExtScheme, ProcessNode};
 use sigcomp_explore::{
     column_slug, config_points, pareto_frontier, to_json, JobOutcome, JobSpec, MemProfile,
     SweepSpec,
 };
+use sigcomp_obs::json_escape;
 use sigcomp_pipeline::OrgKind;
 use sigcomp_workloads::{suite_names, WorkloadSize};
 use std::fmt::Write as _;
@@ -221,7 +222,7 @@ pub fn sweep_result_json(outcomes: &[JobOutcome], node: ProcessNode) -> String {
     let frontier = pareto_frontier(&points, &model);
     let labels: Vec<String> = frontier
         .iter()
-        .map(|p| format!("\"{}\"", escape(&p.label())))
+        .map(|p| format!("\"{}\"", json_escape(&p.label())))
         .collect();
     format!(
         "{{\"status\": \"done\", \"jobs\": {}, \"served_from_cache\": {}, \

@@ -379,7 +379,7 @@ impl Response {
     pub fn error(status: u16, message: &str) -> Self {
         Response::json(
             status,
-            format!("{{\"error\": \"{}\"}}\n", crate::json::escape(message)),
+            format!("{{\"error\": \"{}\"}}\n", sigcomp_obs::json_escape(message)),
         )
     }
 

@@ -1,8 +1,9 @@
-//! A minimal JSON parser and string escaper.
+//! A minimal JSON parser.
 //!
 //! The workspace carries no serialization dependency, so request bodies are
 //! decoded by this hand-rolled recursive-descent parser (the encode side
-//! stays hand-formatted, mirroring `sigcomp_explore::report::to_json`).
+//! stays hand-formatted, mirroring `sigcomp_explore::report::to_json`, with
+//! strings escaped by [`sigcomp_obs::json_escape`]).
 //! The parser accepts the full JSON grammar — nested values up to
 //! [`MAX_DEPTH`], `\uXXXX` escapes including surrogate pairs — and reports
 //! errors with a byte offset so 400 responses can say where a body went
@@ -192,27 +193,6 @@ impl Json {
             _ => Vec::new(),
         }
     }
-}
-
-/// Escapes `s` for embedding inside a JSON string literal (quotes not
-/// included): `"`, `\` and control characters become escape sequences.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 struct Parser<'a> {
@@ -543,8 +523,13 @@ mod tests {
 
     #[test]
     fn escape_round_trips_through_parse() {
-        let nasty = "a\"b\\c\nd\te\u{0001}é😀";
-        let parsed = Json::parse(&format!("\"{}\"", escape(nasty))).unwrap();
-        assert_eq!(parsed, Json::Str(nasty.to_owned()));
+        let mut nasty: String = (0u8..0x20).map(char::from).collect();
+        nasty.push_str("a\"b\\c\u{7f}é😀");
+        let escaped = sigcomp_obs::json_escape(&nasty);
+        assert!(escaped.chars().all(|c| c >= ' '), "{escaped:?}");
+        assert!(escaped.starts_with("\\u0000\\u0001"), "{escaped:?}");
+        assert!(escaped.contains("\\u0008\\t\\n\\u000b\\u000c\\r\\u000e"));
+        let parsed = Json::parse(&format!("\"{escaped}\"")).unwrap();
+        assert_eq!(parsed, Json::Str(nasty));
     }
 }

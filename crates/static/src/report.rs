@@ -192,7 +192,10 @@ impl WidthReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"target\": \"{}\",\n", escape(&self.target)));
+        out.push_str(&format!(
+            "  \"target\": \"{}\",\n",
+            sigcomp_obs::json_escape(&self.target)
+        ));
         out.push_str(&format!("  \"blocks\": {},\n", self.blocks));
         out.push_str(&format!(
             "  \"reachable_blocks\": {},\n",
@@ -243,20 +246,6 @@ impl WidthReport {
         out.push_str("}\n}\n");
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -28,12 +28,12 @@
 //! The open-loop run exits nonzero if any request fails or the observed
 //! p99 exceeds the budget — which is what lets CI use it as a latency gate.
 
-use sigcomp_fabric::HttpClient;
+use sigcomp_fabric::{read_response, HttpClient, HttpResponse};
 use sigcomp_obs::{Histogram, DEFAULT_SPAN_BOUNDS_US};
 use sigcomp_pipeline::OrgKind;
 use sigcomp_serve::{BatchConfig, Json, ServeConfig, Server};
 use sigcomp_workloads::suite_names;
-use std::io::{Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -44,35 +44,20 @@ const REQUESTS_PER_CLIENT: usize = 25;
 /// server's `Retry-After`) before the load generator gives up on it.
 const SHED_RETRIES: u32 = 5;
 
-/// One request on a fresh connection, read to connection close: status,
-/// headers (lowercased names), body.
-fn http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, Vec<(String, String)>, String) {
+/// One request on a fresh connection. A response that cannot be read comes
+/// back as status 0 with the error as its body.
+fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> HttpResponse {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: load-gen\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     );
     stream.write_all(request.as_bytes()).expect("send");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read");
-    let status = raw
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let (head, body) = raw.split_once("\r\n\r\n").unwrap_or((raw.as_str(), ""));
-    let headers = head
-        .lines()
-        .skip(1)
-        .filter_map(|line| line.split_once(':'))
-        .map(|(name, value)| (name.to_ascii_lowercase(), value.trim().to_owned()))
-        .collect();
-    (status, headers, body.to_owned())
+    read_response(&mut BufReader::new(stream)).unwrap_or_else(|e| HttpResponse {
+        status: 0,
+        headers: Vec::new(),
+        body: e.to_string(),
+    })
 }
 
 /// Tallies of every response class the clients saw. The generator's exit
@@ -206,7 +191,7 @@ fn open_loop(args: &OpenArgs) {
                         ka.post(&args.addr, "/simulate", body)
                             .map_or(0, |r| r.status)
                     } else {
-                        http(sock, "POST", "/simulate", body).0
+                        http(sock, "POST", "/simulate", body).status
                     };
                     // Intended-start latency: queueing delay from falling
                     // behind the timetable counts against the server.
@@ -306,16 +291,16 @@ fn closed_loop() {
                     let sent = Instant::now();
                     let mut attempts = 0;
                     loop {
-                        let (status, headers, payload) = http(addr, "POST", "/simulate", body);
+                        let response = http(addr, "POST", "/simulate", body);
+                        let status = response.status;
                         if status == 503 && attempts < SHED_RETRIES {
                             // Shed under load: honor the server's
                             // Retry-After and try again.
                             attempts += 1;
                             outcomes.shed.fetch_add(1, Ordering::Relaxed);
-                            let wait = headers
-                                .iter()
-                                .find(|(name, _)| name == "retry-after")
-                                .and_then(|(_, value)| value.parse().ok())
+                            let wait = response
+                                .header("retry-after")
+                                .and_then(|value| value.parse().ok())
                                 .unwrap_or(1u64);
                             std::thread::sleep(Duration::from_secs(wait));
                             continue;
@@ -326,7 +311,7 @@ fn closed_loop() {
                             outcomes.failed.fetch_add(1, Ordering::Relaxed);
                             eprintln!(
                                 "request failed: {status} for {body}: {}",
-                                payload.lines().next().unwrap_or_default()
+                                response.body.lines().next().unwrap_or_default()
                             );
                         }
                         break;
@@ -360,9 +345,9 @@ fn closed_loop() {
         snap.max
     );
 
-    let (status, _, metrics_body) = http(addr, "GET", "/metrics", "");
-    assert_eq!(status, 200);
-    let metrics = Json::parse(&metrics_body).expect("metrics JSON parses");
+    let response = http(addr, "GET", "/metrics", "");
+    assert_eq!(response.status, 200);
+    let metrics = Json::parse(&response.body).expect("metrics JSON parses");
     let batch = metrics.get("batch").expect("batch section");
     // Strict decode: a missing or non-exact counter fails with the decoder's
     // named reason instead of silently reading as 0 and faking a perfect
