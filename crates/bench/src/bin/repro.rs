@@ -6,9 +6,11 @@
 //! repro [--size tiny|default|large] [table1|table2|table3|table4|table5|table6|
 //!        fig4|fig6|fig8|fig10|bottleneck|sweep|energy|serve|bench|all]
 //! repro trace record|replay|stat|golden …
+//! repro analyze WORKLOAD|FILE.sctrace [--size S] [--csv PATH] [--json PATH]
 //! repro worker --shard I/N --cache DIR [--workers N] [--traces a,b]
 //!              [--obs-log FILE]
 //! repro fleet serve|sweep|status …
+//! repro --help
 //!
 //! sweep options:
 //!   --workers N          worker threads (default: available parallelism;
@@ -32,6 +34,8 @@
 //!   --no-cache           disable the result cache
 //!   --csv PATH           write per-job results as CSV
 //!   --json PATH          write per-job results as JSON
+//!   --static-prune PCT   skip configurations whose statically predicted
+//!                        saving is below PCT % (each one is reported)
 //!   --obs-log FILE       stream observability span events as JSONL (sweep,
 //!                        serve and bench; workers append to FILE.shard-<i>)
 //!
@@ -98,10 +102,11 @@
 //! `repro sweep --shards` or `repro serve --backend subprocess`, not by
 //! hand): reads the deduped job list on stdin — one line per job, sorted by
 //! job id — executes the lines with index % N == I against the shared
-//! cache, and reports per-job provenance on stdout.
+//! cache, and reports per-job provenance on stdout. `--traces` must name at
+//! least one file, as for `sweep`.
 //!
 //! trace subcommands:
-//!   trace record WORKLOAD|--all --out PATH [--size S]
+//!   trace record WORKLOAD|--all --out|-o PATH [--size S]
 //!                        run kernels live and write .sctrace files
 //!                        (--all writes <PATH>/<workload>.sctrace)
 //!   trace replay FILE [--schemes a,b] [--orgs all|a,b] [--mems a,b]
@@ -112,6 +117,10 @@
 //!
 //! With no subcommand (or `all`) every paper artefact is printed in paper
 //! order (`all` does not include `sweep`, `serve`, `bench` or `trace`).
+//!
+//! Every flag applies only to the commands listed with it above, and is an
+//! error anywhere else: `--size` sizes the paper artefacts, `sweep`,
+//! `fleet sweep`, `energy`, `trace record` and `analyze`.
 
 use sigcomp::analyzer::AnalyzerConfig;
 use sigcomp::{EnergyModel, ExtScheme, ProcessNode, SigStats};
@@ -135,13 +144,14 @@ use sigcomp_static::{
     WidthReport,
 };
 use sigcomp_workloads::{find, suite_names, WorkloadSize};
+use std::any::Any;
 use std::path::Path;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
 usage: repro [--size tiny|default|large] \
 [table1|table2|table3|table4|table5|table6|fig4|fig6|fig8|fig10|bottleneck|sweep|energy|serve|bench|all]
-       repro trace record WORKLOAD|--all --out PATH [--size tiny|default|large]
+       repro trace record WORKLOAD|--all --out|-o PATH [--size tiny|default|large]
        repro trace replay FILE [--schemes a,b] [--orgs all|a,b] [--mems a,b]
                    [--energy-model paper-180nm|generic-45nm|modern-7nm]
        repro trace stat FILE
@@ -154,6 +164,9 @@ usage: repro [--size tiny|default|large] \
        repro fleet sweep [sweep options] [--fleet a:p,b:p] [--timeout-ms N]
                    [--attempts N]
        repro fleet status --frontier HOST:PORT
+       repro --help|-h
+(--size applies to the tables, figures, bottleneck, all, sweep, fleet sweep
+and energy)
 sweep options: [--workers N] [--shards N] [--schemes 2bit,3bit,halfword]
 [--orgs all|id,id,...] [--mems paper,small-l1,wide-l2,slow-memory]
 [--traces f1.sctrace,f2.sctrace]
@@ -185,43 +198,451 @@ fn fail(message: &str) -> ExitCode {
     usage()
 }
 
-/// Options that only affect the `sweep` and `serve` subcommands.
+/// Every main-grammar command. `fleet <verb>` is rewritten to its
+/// `fleet-<verb>` entry before parsing. Ordered so that `PAPER` and the
+/// commands `--size` applies to are prefixes.
+const COMMANDS: &[&str] = &[
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "fig4",
+    "fig6",
+    "fig8",
+    "fig10",
+    "bottleneck",
+    "all",
+    "sweep",
+    "fleet-sweep",
+    "energy",
+    "serve",
+    "fleet-serve",
+    "fleet-status",
+    "bench",
+];
+
+/// The paper artefacts, in paper order: what `all` (the default) prints.
+const PAPER: &[&str] = COMMANDS.split_at(11).0;
+
+/// The commands that own their grammars, so must come first, each with an
+/// example for the error that says so.
+const STANDALONE: [(&str, &str); 4] = [
+    (
+        "trace",
+        "repro trace record rawcaudio --size tiny --out f.sctrace",
+    ),
+    ("worker", "repro worker --shard 0/2 --cache DIR"),
+    ("analyze", "repro analyze rawcaudio --size tiny"),
+    ("fleet", "repro fleet sweep --fleet host:port --cache DIR"),
+];
+
+/// Where a flag is accepted, and how its "only applies to" error names
+/// that set.
+#[derive(Clone, Copy)]
+struct Scope {
+    /// The accepting commands: main-grammar commands, or the one standalone
+    /// command (`trace record`, `trace replay`, `analyze`, `worker`).
+    commands: &'static [&'static str],
+    /// The error's name for `commands`.
+    phrase: &'static str,
+    /// The flags that share one error, named together.
+    group: Option<&'static str>,
+}
+
+impl Scope {
+    /// Whether any of `commands` accepts the flag.
+    fn covers<S: AsRef<str>>(self, commands: &[S]) -> bool {
+        self.commands
+            .iter()
+            .any(|c| commands.iter().any(|p| p.as_ref() == *c))
+    }
+
+    /// The error for `flag` given without any of the accepting commands.
+    fn error(self, flag: &str) -> String {
+        match self.group {
+            Some(group) => format!("{group} only apply to the {}", self.phrase),
+            None => format!("{flag} only applies to the {}", self.phrase),
+        }
+    }
+}
+
+const fn scope(commands: &'static [&'static str], phrase: &'static str) -> Scope {
+    Scope {
+        commands,
+        phrase,
+        group: None,
+    }
+}
+
+const EVERYWHERE: Scope = scope(COMMANDS, "listed subcommands");
+/// The paper artefacts, `all`, and the sweep and energy runs.
+const SIZED: Scope = scope(
+    COMMANDS.split_at(15).0,
+    "table, figure, bottleneck, all, sweep, fleet sweep and energy subcommands",
+);
+const SWEEP: Scope = scope(&["sweep"], "sweep subcommand");
+const SWEEPS: Scope = scope(
+    &["sweep", "fleet-sweep"],
+    "sweep and fleet sweep subcommands",
+);
+const AXES: Scope = scope(
+    &["sweep", "fleet-sweep", "energy"],
+    "sweep, fleet sweep and energy subcommands",
+);
+const RUNNERS: Scope = Scope {
+    group: Some("--workers/--cache/--no-cache"),
+    ..scope(
+        &["sweep", "fleet-sweep", "energy", "serve", "fleet-serve"],
+        "sweep, energy and serve subcommands",
+    )
+};
+const OBSERVED: Scope = scope(
+    &["sweep", "fleet-sweep", "serve", "fleet-serve", "bench"],
+    "sweep, serve and bench subcommands",
+);
+const SERVES: Scope = scope(
+    &["serve", "fleet-serve"],
+    "serve and fleet serve subcommands",
+);
+const FRONTIER: Scope = scope(
+    &["serve", "fleet-serve", "fleet-status"],
+    "serve and fleet status subcommands",
+);
+const FLEET_SWEEP: Scope = scope(&["fleet-sweep"], "fleet sweep subcommand");
+const FLEET_CLIENT: Scope = scope(
+    &["fleet-sweep", "fleet-status"],
+    "fleet sweep and fleet status subcommands",
+);
+const BENCH: Scope = scope(&["bench"], "bench subcommand");
+const RECORD: Scope = scope(&["trace record"], "trace record subcommand");
+const REPLAY: Scope = scope(&["trace replay"], "trace replay subcommand");
+const ANALYZE: Scope = scope(&["analyze"], "analyze subcommand");
+const WORKER: Scope = scope(&["worker"], "worker subcommand");
+
+/// How a flag's value is read and validated.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// No value: the flag is present or not.
+    Switch,
+    /// Any text: a path, an address, a label.
+    Text,
+    Positive,
+    /// A non-negative saving percentage.
+    Percent,
+    Size,
+    /// `on` or `off`.
+    OnOff,
+    /// `local` or `subprocess[:SHARDS]`.
+    Backend,
+    /// `INDEX/COUNT`.
+    Shard,
+    /// One process-node energy model.
+    Node,
+    /// A comma-separated list.
+    List(Items),
+}
+
+/// What a comma-separated list holds.
+#[derive(Clone, Copy)]
+enum Items {
+    Schemes,
+    /// Organization ids, or `all`.
+    Orgs,
+    Mems,
+    Nodes,
+    /// `.sctrace` paths; empty items are dropped, and one must remain.
+    Traces,
+    /// Worker `host:port` addresses, likewise.
+    Workers,
+}
+
+impl Kind {
+    /// Reads one value (a switch has none), or says why it is invalid: the
+    /// tail of the "invalid value" error, ` (expected …)` for most kinds.
+    fn read(self, raw: &str) -> Result<Box<dyn Any>, String> {
+        fn boxed<T: Any>(value: T) -> Box<dyn Any> {
+            Box::new(value)
+        }
+        let value = match self {
+            // These two explain their own errors.
+            Kind::Backend => return parse_backend(raw).map(boxed).map_err(|e| format!(" ({e})")),
+            Kind::Shard => return parse_shard(raw).map(boxed).map_err(|e| format!(": {e}")),
+            Kind::Switch => Some(boxed(true)),
+            Kind::Text => Some(boxed(raw.to_owned())),
+            Kind::Positive => raw.parse().ok().filter(|&n: &usize| n > 0).map(boxed),
+            Kind::Percent => raw
+                .parse()
+                .ok()
+                .filter(|&p: &f64| p.is_finite() && p >= 0.0)
+                .map(boxed),
+            Kind::Size => WorkloadSize::parse(raw).map(boxed),
+            Kind::OnOff => match raw {
+                "on" => Some(boxed(true)),
+                "off" => Some(boxed(false)),
+                _ => None,
+            },
+            Kind::Node => ProcessNode::parse(raw).map(boxed),
+            Kind::List(Items::Schemes) => parse_list(raw, ExtScheme::parse).map(boxed),
+            Kind::List(Items::Orgs) if raw == "all" => Some(boxed(OrgKind::ALL.to_vec())),
+            Kind::List(Items::Orgs) => parse_list(raw, OrgKind::parse).map(boxed),
+            Kind::List(Items::Mems) => parse_list(raw, MemProfile::parse).map(boxed),
+            Kind::List(Items::Nodes) => parse_list(raw, ProcessNode::parse).map(boxed),
+            Kind::List(Items::Traces | Items::Workers) => {
+                let words: Vec<String> = raw
+                    .split(',')
+                    .map(str::trim)
+                    .filter(|word| !word.is_empty())
+                    .map(str::to_owned)
+                    .collect();
+                Some(words).filter(|words| !words.is_empty()).map(boxed)
+            }
+        };
+        value.ok_or_else(|| format!(" (expected {})", self.accepted()))
+    }
+
+    /// What an invalid value should have been.
+    fn accepted(self) -> String {
+        fn ids<T: Copy>(all: &[T], id: fn(T) -> &'static str) -> String {
+            let ids: Vec<&str> = all.iter().map(|&item| id(item)).collect();
+            ids.join(", ")
+        }
+        let subset = |ids: String| format!("a comma-separated subset of {ids}");
+        match self {
+            Kind::Positive => "a positive integer".to_owned(),
+            Kind::Percent => "a non-negative saving percentage".to_owned(),
+            Kind::Size => "tiny, default or large".to_owned(),
+            Kind::OnOff => "on or off".to_owned(),
+            Kind::Node => format!("one of {}", ids(ProcessNode::ALL, ProcessNode::id)),
+            Kind::List(Items::Schemes) => subset(ids(ExtScheme::ALL, ExtScheme::id)),
+            Kind::List(Items::Orgs) => {
+                format!("'all' or {}", subset(ids(OrgKind::ALL, OrgKind::id)))
+            }
+            Kind::List(Items::Mems) => subset(ids(MemProfile::ALL, MemProfile::id)),
+            Kind::List(Items::Nodes) => subset(ids(ProcessNode::ALL, ProcessNode::id)),
+            Kind::List(Items::Traces) => "a comma-separated list of .sctrace paths".to_owned(),
+            Kind::List(Items::Workers) => {
+                "a comma-separated list of host:port worker addresses".to_owned()
+            }
+            // Accepting anything, or explaining their own errors.
+            Kind::Switch | Kind::Text | Kind::Backend | Kind::Shard => String::new(),
+        }
+    }
+}
+
+/// One row of the option table.
+struct Opt {
+    /// The flag, then its aliases.
+    names: &'static [&'static str],
+    kind: Kind,
+    scope: Scope,
+}
+
+const fn opt(names: &'static [&'static str], kind: Kind, scope: Scope) -> Opt {
+    Opt { names, kind, scope }
+}
+
+/// Every flag of every grammar. A flag of several grammars has a row in
+/// each; the main grammar's row is scoped to the commands that use it.
+const OPTS: &[Opt] = &[
+    opt(&["--help", "-h"], Kind::Switch, EVERYWHERE),
+    opt(&["--size"], Kind::Size, SIZED),
+    opt(&["--workers"], Kind::Positive, RUNNERS),
+    opt(&["--cache"], Kind::Text, RUNNERS),
+    opt(&["--no-cache"], Kind::Switch, RUNNERS),
+    opt(&["--shards"], Kind::Positive, SWEEP),
+    opt(&["--schemes"], Kind::List(Items::Schemes), AXES),
+    opt(&["--orgs"], Kind::List(Items::Orgs), AXES),
+    opt(&["--mems"], Kind::List(Items::Mems), AXES),
+    opt(&["--traces"], Kind::List(Items::Traces), SWEEPS),
+    opt(&["--energy-model"], Kind::List(Items::Nodes), SWEEPS),
+    opt(&["--csv"], Kind::Text, SWEEPS),
+    opt(&["--json"], Kind::Text, SWEEPS),
+    opt(&["--static-prune"], Kind::Percent, SWEEPS),
+    opt(&["--obs-log"], Kind::Text, OBSERVED),
+    opt(&["--addr"], Kind::Text, SERVES),
+    opt(&["--max-batch"], Kind::Positive, SERVES),
+    opt(&["--backend"], Kind::Backend, SERVES),
+    opt(&["--memo-cap"], Kind::Positive, SERVES),
+    opt(&["--ticket-cap"], Kind::Positive, SERVES),
+    opt(&["--max-conns"], Kind::Positive, SERVES),
+    opt(&["--read-deadline-ms"], Kind::Positive, SERVES),
+    opt(&["--keep-alive"], Kind::OnOff, SERVES),
+    opt(&["--self-addr"], Kind::Text, SERVES),
+    opt(&["--heartbeat-ms"], Kind::Positive, SERVES),
+    opt(&["--frontier"], Kind::Text, FRONTIER),
+    opt(&["--fleet"], Kind::List(Items::Workers), FLEET_SWEEP),
+    opt(&["--attempts"], Kind::Positive, FLEET_SWEEP),
+    opt(&["--timeout-ms"], Kind::Positive, FLEET_CLIENT),
+    opt(&["--quick"], Kind::Switch, BENCH),
+    opt(&["--label"], Kind::Text, BENCH),
+    opt(&["--out"], Kind::Text, BENCH),
+    opt(&["--corpus"], Kind::Text, BENCH),
+    opt(&["--check"], Kind::Text, BENCH),
+    opt(&["--compare"], Kind::Text, BENCH),
+    opt(&["--trajectory"], Kind::Text, BENCH),
+    opt(&["--size"], Kind::Size, RECORD),
+    opt(&["--out", "-o"], Kind::Text, RECORD),
+    opt(&["--all"], Kind::Switch, RECORD),
+    opt(&["--schemes"], Kind::List(Items::Schemes), REPLAY),
+    opt(&["--orgs"], Kind::List(Items::Orgs), REPLAY),
+    opt(&["--mems"], Kind::List(Items::Mems), REPLAY),
+    opt(&["--energy-model"], Kind::Node, REPLAY),
+    opt(&["--size"], Kind::Size, ANALYZE),
+    opt(&["--csv"], Kind::Text, ANALYZE),
+    opt(&["--json"], Kind::Text, ANALYZE),
+    opt(&["--shard"], Kind::Shard, WORKER),
+    opt(&["--cache"], Kind::Text, WORKER),
+    opt(&["--workers"], Kind::Positive, WORKER),
+    opt(&["--traces"], Kind::List(Items::Traces), WORKER),
+    opt(&["--obs-log"], Kind::Text, WORKER),
+];
+
+/// One command line's grammar: the rows it admits, how it names an unknown
+/// flag, and what its positional arguments are.
+struct Grammar {
+    /// The commands parsed for; the rows scoped to any of them are admitted.
+    commands: &'static [&'static str],
+    /// The unknown-flag error's prefix.
+    unknown: &'static str,
+    positionals: Positionals,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Positionals {
+    /// Command names (`all` when none), which every flag is checked against.
+    Commands,
+    /// At most one (a workload or file); a second is this error.
+    One(&'static str),
+    /// None: a stray word is reported like an unknown flag.
+    Nothing,
+}
+
+const MAIN_ARGS: Grammar = Grammar {
+    commands: COMMANDS,
+    unknown: "unknown option",
+    positionals: Positionals::Commands,
+};
+
+const RECORD_ARGS: Grammar = Grammar {
+    commands: RECORD.commands,
+    unknown: "unknown option",
+    positionals: Positionals::One("trace record expects exactly one workload"),
+};
+
+const REPLAY_ARGS: Grammar = Grammar {
+    commands: REPLAY.commands,
+    unknown: "unknown option",
+    positionals: Positionals::One("trace replay expects exactly one file"),
+};
+
+const ANALYZE_ARGS: Grammar = Grammar {
+    commands: ANALYZE.commands,
+    unknown: "unknown analyze option",
+    positionals: Positionals::One("analyze expects exactly one workload or .sctrace file"),
+};
+
+const WORKER_ARGS: Grammar = Grammar {
+    commands: WORKER.commands,
+    unknown: "unknown worker option",
+    positionals: Positionals::Nothing,
+};
+
+/// A parsed command line.
 #[derive(Default)]
-struct SweepArgs {
-    workers: Option<usize>,
-    shards: Option<usize>,
-    schemes: Option<Vec<ExtScheme>>,
-    orgs: Option<Vec<OrgKind>>,
-    mems: Option<Vec<MemProfile>>,
-    traces: Option<Vec<String>>,
-    energy_models: Option<Vec<ProcessNode>>,
-    cache_dir: Option<String>,
-    no_cache: bool,
-    csv: Option<String>,
-    json: Option<String>,
-    addr: Option<String>,
-    max_batch: Option<usize>,
-    backend: Option<BackendChoice>,
-    memo_cap: Option<usize>,
-    ticket_cap: Option<usize>,
-    max_conns: Option<usize>,
-    read_deadline_ms: Option<u64>,
-    keep_alive: Option<bool>,
-    obs_log: Option<String>,
-    bench_quick: bool,
-    bench_label: Option<String>,
-    bench_out: Option<String>,
-    bench_corpus: Option<String>,
-    bench_check: Option<String>,
-    bench_compare: Option<String>,
-    bench_trajectory: Option<String>,
-    fleet_workers: Option<Vec<String>>,
-    frontier: Option<String>,
-    self_addr: Option<String>,
-    heartbeat_ms: Option<u64>,
-    timeout_ms: Option<u64>,
-    attempts: Option<u32>,
-    static_prune: Option<f64>,
+struct Opts {
+    values: Vec<(&'static Opt, Box<dyn Any>)>,
+    positionals: Vec<String>,
+}
+
+impl Opts {
+    /// The value last given for `flag` (named as in its row), if any.
+    fn get<T: Any + Clone>(&self, flag: &str) -> Option<T> {
+        debug_assert!(OPTS.iter().any(|row| row.names[0] == flag), "{flag}");
+        let (_, value) = self
+            .values
+            .iter()
+            .rev()
+            .find(|(row, _)| row.names[0] == flag)?;
+        debug_assert!(value.is::<T>(), "{flag} is read as the wrong type");
+        value.downcast_ref().cloned()
+    }
+
+    /// Whether the switch `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.get(flag).unwrap_or(false)
+    }
+}
+
+/// Parses `args` under `grammar`. Values are validated as they are read, so
+/// an invalid value is reported before a flag outside its commands' scope.
+fn parse(grammar: &Grammar, args: &[String]) -> Result<Opts, String> {
+    let mut opts = Opts::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let row = OPTS
+            .iter()
+            .find(|row| row.names.contains(&arg.as_str()) && row.scope.covers(grammar.commands));
+        if let Some(row) = row {
+            let flag = row.names[0];
+            let raw = match row.kind {
+                Kind::Switch => "",
+                _ => args
+                    .next()
+                    .ok_or_else(|| format!("{flag} expects a value"))?,
+            };
+            let value = row
+                .kind
+                .read(raw)
+                .map_err(|why| format!("invalid value '{raw}' for {flag}{why}"))?;
+            opts.values.push((row, value));
+            continue;
+        }
+        match grammar.positionals {
+            _ if arg.starts_with('-') => return Err(format!("{} '{arg}'", grammar.unknown)),
+            Positionals::Nothing => return Err(format!("{} '{arg}'", grammar.unknown)),
+            Positionals::One(too_many) if !opts.positionals.is_empty() => {
+                return Err(too_many.to_owned())
+            }
+            Positionals::One(_) => {}
+            Positionals::Commands => {
+                if let Some((word, example)) = STANDALONE.iter().find(|(word, _)| word == arg) {
+                    return Err(format!(
+                        "'{word}' must be the first argument (e.g. `{example}`)"
+                    ));
+                }
+                if !grammar.commands.contains(&arg.as_str()) {
+                    return Err(format!("unknown command '{arg}'"));
+                }
+            }
+        }
+        opts.positionals.push(arg.clone());
+    }
+    if grammar.positionals == Positionals::Commands {
+        if opts.positionals.is_empty() {
+            opts.positionals.push("all".to_owned());
+        }
+        // A flag must not be silently ignored: one passed without any
+        // command that reads it is an error.
+        let ignored = opts
+            .values
+            .iter()
+            .find(|(row, _)| !row.scope.covers(&opts.positionals));
+        if let Some((row, _)) = ignored {
+            return Err(row.scope.error(row.names[0]));
+        }
+    }
+    Ok(opts)
+}
+
+/// Parses `args` under `grammar` and runs `run` on them; a malformed command
+/// line is a named error and the usage text.
+fn run_with(grammar: &Grammar, args: &[String], run: fn(&Opts) -> ExitCode) -> ExitCode {
+    match parse(grammar, args) {
+        Ok(opts) => run(&opts),
+        Err(e) => fail(&e),
+    }
 }
 
 /// The `--backend` value of `repro serve`.
@@ -242,17 +663,12 @@ fn parse_backend(raw: &str) -> Result<BackendChoice, String> {
         None if raw == "subprocess" => {
             std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get)
         }
-        Some(("subprocess", n)) => n.parse().ok().filter(|&n: &usize| n > 0).ok_or_else(|| {
-            format!(
-                "invalid value '{raw}' for --backend \
-                     (the shard count must be a positive integer)"
-            )
-        })?,
-        _ => {
-            return Err(format!(
-                "invalid value '{raw}' for --backend (expected local or subprocess[:SHARDS])"
-            ))
-        }
+        Some(("subprocess", n)) => n
+            .parse()
+            .ok()
+            .filter(|&n: &usize| n > 0)
+            .ok_or("the shard count must be a positive integer")?,
+        _ => return Err("expected local or subprocess[:SHARDS]".to_owned()),
     };
     Ok(BackendChoice::Subprocess(shards))
 }
@@ -269,16 +685,18 @@ fn worker_program() -> Result<std::path::PathBuf, String> {
 }
 
 /// Builds the subprocess backend config shared by `sweep --shards` and
-/// `serve --backend subprocess`. When `obs_log` is set each worker also
-/// streams its span events to `<obs_log>.shard-<i>`.
+/// `serve --backend subprocess`. When `--obs-log` is set each worker also
+/// streams its span events to `<obs-log>.shard-<i>`.
 fn subprocess_backend(
     shards: usize,
     trace_paths: &[String],
-    obs_log: Option<&str>,
+    opts: &Opts,
 ) -> Result<ExecBackend, String> {
     let mut config = SubprocessConfig::new(shards, worker_program()?);
     config.trace_paths = trace_paths.to_vec();
-    config.obs_log = obs_log.map(std::path::PathBuf::from);
+    config.obs_log = opts
+        .get::<String>("--obs-log")
+        .map(std::path::PathBuf::from);
     Ok(ExecBackend::Subprocess(config))
 }
 
@@ -288,12 +706,14 @@ fn parse_list<T>(value: &str, parse: impl Fn(&str) -> Option<T>) -> Option<Vec<T
 
 /// Opens the result cache named by `--cache`/`--no-cache` (shared, via the
 /// same default directory, by CLI sweeps and a running server).
-fn open_cache(args: &SweepArgs, what: &str) -> Option<ResultCache> {
-    if args.no_cache {
+fn open_cache(opts: &Opts, what: &str) -> Option<ResultCache> {
+    if opts.has("--no-cache") {
         return None;
     }
-    let dir = args.cache_dir.as_deref().unwrap_or("target/sweep-cache");
-    match ResultCache::open(dir) {
+    let dir = opts
+        .get("--cache")
+        .unwrap_or_else(|| "target/sweep-cache".to_owned());
+    match ResultCache::open(&dir) {
         Ok(cache) => Some(cache),
         Err(e) => {
             eprintln!("{what}: cannot open result cache at {dir}: {e}; caching disabled");
@@ -302,26 +722,37 @@ fn open_cache(args: &SweepArgs, what: &str) -> Option<ResultCache> {
     }
 }
 
+/// Narrows `spec` to the `--schemes`, `--orgs` and `--mems` axes given.
+fn with_axes(mut spec: SweepSpec, opts: &Opts) -> SweepSpec {
+    if let Some(schemes) = opts.get::<Vec<ExtScheme>>("--schemes") {
+        spec = spec.schemes(&schemes);
+    }
+    if let Some(orgs) = opts.get::<Vec<OrgKind>>("--orgs") {
+        spec = spec.orgs(&orgs);
+    }
+    if let Some(mems) = opts.get::<Vec<MemProfile>>("--mems") {
+        spec = spec.mems(&mems);
+    }
+    spec
+}
+
+/// A millisecond `flag` as a duration (`default` when not given).
+fn millis(opts: &Opts, flag: &str, default: usize) -> std::time::Duration {
+    std::time::Duration::from_millis(opts.get(flag).unwrap_or(default) as u64)
+}
+
 /// Runs `repro sweep` (`fleet = false`) or `repro fleet sweep` (`fleet =
 /// true` — this process is the frontier and the configured backend is the
 /// worker fleet).
-fn run_sweep_command(size: WorkloadSize, args: &SweepArgs, fleet: bool) -> ExitCode {
-    let mut spec = SweepSpec::full(size).mems(&[MemProfile::Paper]);
-    if let Some(schemes) = &args.schemes {
-        spec = spec.schemes(schemes);
+fn run_sweep_command(size: WorkloadSize, opts: &Opts, fleet: bool) -> ExitCode {
+    let mut spec = with_axes(SweepSpec::full(size).mems(&[MemProfile::Paper]), opts);
+    if let Some(models) = opts.get::<Vec<ProcessNode>>("--energy-model") {
+        spec = spec.energy_models(&models);
     }
-    if let Some(orgs) = &args.orgs {
-        spec = spec.orgs(orgs);
-    }
-    if let Some(mems) = &args.mems {
-        spec = spec.mems(mems);
-    }
-    if let Some(models) = &args.energy_models {
-        spec = spec.energy_models(models);
-    }
-    if let Some(paths) = &args.traces {
-        let mut inputs = Vec::with_capacity(paths.len());
-        for path in paths {
+    let trace_paths: Vec<String> = opts.get("--traces").unwrap_or_default();
+    if !trace_paths.is_empty() {
+        let mut inputs = Vec::with_capacity(trace_paths.len());
+        for path in &trace_paths {
             match TraceInput::load(path) {
                 Ok(input) => inputs.push(input),
                 Err(e) => {
@@ -337,12 +768,12 @@ fn run_sweep_command(size: WorkloadSize, args: &SweepArgs, fleet: bool) -> ExitC
         return ExitCode::FAILURE;
     }
 
-    let cache = open_cache(args, "sweep");
+    let cache = open_cache(opts, "sweep");
     let backend = if fleet {
         // The frontier replicates every worker's cache entries into this
         // cache and merges the sweep from it — exactly the subprocess
         // backend's merge discipline, so the output stays byte-identical.
-        if args.no_cache {
+        if opts.has("--no-cache") {
             return fail("fleet sweep requires the result cache (drop --no-cache)");
         }
         if cache.is_none() {
@@ -352,17 +783,21 @@ fn run_sweep_command(size: WorkloadSize, args: &SweepArgs, fleet: bool) -> ExitC
         sigcomp_fabric::install();
         let defaults = FleetConfig::default();
         ExecBackend::Fleet(FleetConfig {
-            workers: args.fleet_workers.clone().unwrap_or_default(),
-            timeout_ms: args.timeout_ms.unwrap_or(defaults.timeout_ms),
-            attempts: args.attempts.unwrap_or(defaults.attempts),
+            workers: opts.get("--fleet").unwrap_or_default(),
+            timeout_ms: opts
+                .get::<usize>("--timeout-ms")
+                .map_or(defaults.timeout_ms, |n| n as u64),
+            attempts: opts
+                .get::<usize>("--attempts")
+                .map_or(defaults.attempts, |n| u32::try_from(n).unwrap_or(u32::MAX)),
         })
     } else {
-        match args.shards {
+        match opts.get("--shards") {
             None => ExecBackend::LocalThreads,
             Some(shards) => {
                 // The shared cache directory is how worker processes publish
                 // their results back; without it there is nothing to merge.
-                if args.no_cache {
+                if opts.has("--no-cache") {
                     return fail("--shards requires the result cache (drop --no-cache)");
                 }
                 if cache.is_none() {
@@ -371,8 +806,7 @@ fn run_sweep_command(size: WorkloadSize, args: &SweepArgs, fleet: bool) -> ExitC
                     );
                     return ExitCode::FAILURE;
                 }
-                let trace_paths = args.traces.clone().unwrap_or_default();
-                match subprocess_backend(shards, &trace_paths, args.obs_log.as_deref()) {
+                match subprocess_backend(shards, &trace_paths, opts) {
                     Ok(backend) => backend,
                     Err(e) => {
                         eprintln!("sweep: {e}");
@@ -383,7 +817,7 @@ fn run_sweep_command(size: WorkloadSize, args: &SweepArgs, fleet: bool) -> ExitC
         }
     };
     let options = SweepOptions {
-        workers: args.workers,
+        workers: opts.get("--workers"),
         cache,
         backend,
     };
@@ -393,7 +827,7 @@ fn run_sweep_command(size: WorkloadSize, args: &SweepArgs, fleet: bool) -> ExitC
         spec.len(),
         size.name()
     );
-    let run = if let Some(threshold) = args.static_prune {
+    let run = if let Some(threshold) = opts.get("--static-prune") {
         // The static pre-screen. Kept jobs stay in enumeration order, so
         // their outcomes (and export rows) are byte-identical to the
         // corresponding rows of an unpruned run; pruned configurations are
@@ -486,12 +920,12 @@ fn run_sweep_command(size: WorkloadSize, args: &SweepArgs, fleet: bool) -> ExitC
     // unless --energy-model named several).
     let model = nodes[0].model();
     type Serializer = fn(&[sigcomp_explore::JobOutcome], &EnergyModel) -> String;
-    for (path, serialize, what) in [
-        (args.csv.as_deref(), to_csv as Serializer, "CSV"),
-        (args.json.as_deref(), to_json as Serializer, "JSON"),
+    for (flag, serialize, what) in [
+        ("--csv", to_csv as Serializer, "CSV"),
+        ("--json", to_json as Serializer, "JSON"),
     ] {
-        if let Some(path) = path {
-            if let Err(e) = std::fs::write(path, serialize(&summary.outcomes, &model)) {
+        if let Some(path) = opts.get::<String>(flag) {
+            if let Err(e) = std::fs::write(&path, serialize(&summary.outcomes, &model)) {
                 eprintln!("sweep: cannot write {what} to {path}: {e}");
                 return ExitCode::FAILURE;
             }
@@ -505,24 +939,15 @@ fn run_sweep_command(size: WorkloadSize, args: &SweepArgs, fleet: bool) -> ExitC
 /// process-node preset: the dynamic term is preset-independent (the paper's
 /// number), while the leakage term rewards gated-off byte lanes more the
 /// leakier the node — shifting which configurations are Pareto-optimal.
-fn run_energy_command(size: WorkloadSize, args: &SweepArgs) -> ExitCode {
-    let mut spec = SweepSpec::paper(size);
-    if let Some(schemes) = &args.schemes {
-        spec = spec.schemes(schemes);
-    }
-    if let Some(orgs) = &args.orgs {
-        spec = spec.orgs(orgs);
-    }
-    if let Some(mems) = &args.mems {
-        spec = spec.mems(mems);
-    }
+fn run_energy_command(size: WorkloadSize, opts: &Opts) -> ExitCode {
+    let spec = with_axes(SweepSpec::paper(size), opts);
     if spec.is_empty() {
         eprintln!("energy: the requested design space is empty");
         return ExitCode::FAILURE;
     }
     let options = SweepOptions {
-        workers: args.workers,
-        cache: open_cache(args, "energy"),
+        workers: opts.get("--workers"),
+        cache: open_cache(opts, "energy"),
         backend: ExecBackend::LocalThreads,
     };
     println!(
@@ -607,12 +1032,12 @@ fn run_energy_command(size: WorkloadSize, args: &SweepArgs) -> ExitCode {
 }
 
 /// Runs the HTTP serving front-end (blocks until the listener fails).
-fn run_serve_command(args: &SweepArgs) -> ExitCode {
-    let disk_cache = open_cache(args, "serve");
-    let backend = match args.backend.unwrap_or(BackendChoice::Local) {
+fn run_serve_command(opts: &Opts) -> ExitCode {
+    let disk_cache = open_cache(opts, "serve");
+    let backend = match opts.get("--backend").unwrap_or(BackendChoice::Local) {
         BackendChoice::Local => ExecBackend::LocalThreads,
         BackendChoice::Subprocess(shards) => {
-            if args.no_cache {
+            if opts.has("--no-cache") {
                 return fail("--backend subprocess requires the result cache (drop --no-cache)");
             }
             if disk_cache.is_none() {
@@ -622,7 +1047,7 @@ fn run_serve_command(args: &SweepArgs) -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
-            match subprocess_backend(shards, &[], args.obs_log.as_deref()) {
+            match subprocess_backend(shards, &[], opts) {
                 Ok(backend) => backend,
                 Err(e) => {
                     eprintln!("serve: {e}");
@@ -632,19 +1057,19 @@ fn run_serve_command(args: &SweepArgs) -> ExitCode {
         }
     };
     let config = ServeConfig {
-        addr: args.addr.clone().unwrap_or_default(),
+        addr: opts.get("--addr").unwrap_or_default(),
         batch: BatchConfig {
-            max_batch: args.max_batch.unwrap_or(0),
+            max_batch: opts.get("--max-batch").unwrap_or(0),
             queue_capacity: 0,
-            sim_workers: args.workers,
+            sim_workers: opts.get("--workers"),
             disk_cache,
             backend,
-            memo_capacity: args.memo_cap.unwrap_or(0),
+            memo_capacity: opts.get("--memo-cap").unwrap_or(0),
         },
-        finished_tickets: args.ticket_cap.unwrap_or(0),
-        max_conns: args.max_conns.unwrap_or(0),
-        read_deadline: std::time::Duration::from_millis(args.read_deadline_ms.unwrap_or(0)),
-        keep_alive: args.keep_alive.unwrap_or(true),
+        finished_tickets: opts.get("--ticket-cap").unwrap_or(0),
+        max_conns: opts.get("--max-conns").unwrap_or(0),
+        read_deadline: millis(opts, "--read-deadline-ms", 0),
+        keep_alive: opts.get("--keep-alive").unwrap_or(true),
         ..ServeConfig::default()
     };
     let server = match Server::bind(config) {
@@ -666,9 +1091,9 @@ fn run_serve_command(args: &SweepArgs) -> ExitCode {
     println!("                  the sigcomp-fleet worker protocol");
     // A worker announces itself to its frontier and keeps heartbeating for
     // as long as it serves; the heartbeater thread dies with the process.
-    let heartbeater = args.frontier.clone().map(|frontier| {
-        let advertised = args.self_addr.clone().unwrap_or_else(|| addr.to_string());
-        let interval = std::time::Duration::from_millis(args.heartbeat_ms.unwrap_or(2000).max(1));
+    let heartbeater = opts.get::<String>("--frontier").map(|frontier| {
+        let advertised = opts.get("--self-addr").unwrap_or_else(|| addr.to_string());
+        let interval = millis(opts, "--heartbeat-ms", 2000);
         println!("fleet worker: announcing {advertised} to frontier {frontier}");
         Heartbeater::spawn(frontier, advertised, interval)
     });
@@ -687,12 +1112,12 @@ fn run_serve_command(args: &SweepArgs) -> ExitCode {
 
 /// Prints a frontier's `/fleet` document: its known workers, their
 /// liveness/capacity/dispatch counters, and the merged worker obs snapshot.
-fn run_fleet_status_command(args: &SweepArgs) -> ExitCode {
-    let Some(frontier) = &args.frontier else {
+fn run_fleet_status_command(opts: &Opts) -> ExitCode {
+    let Some(frontier) = opts.get::<String>("--frontier") else {
         return fail("fleet status requires --frontier HOST:PORT");
     };
-    let timeout = std::time::Duration::from_millis(args.timeout_ms.unwrap_or(5_000));
-    match HttpClient::new(timeout).get(frontier, "/fleet") {
+    let timeout = millis(opts, "--timeout-ms", 5_000);
+    match HttpClient::new(timeout).get(&frontier, "/fleet") {
         Ok(response) if response.status == 200 => {
             print!("{}", response.body);
             ExitCode::SUCCESS
@@ -714,9 +1139,9 @@ fn run_fleet_status_command(args: &SweepArgs) -> ExitCode {
 
 /// Runs the self-timed perf harness (or, with `--check`, only the report
 /// validator) and writes/validates `BENCH_<label>.json`.
-fn run_bench_command(args: &SweepArgs) -> ExitCode {
-    if let Some(path) = &args.bench_check {
-        let text = match std::fs::read_to_string(path) {
+fn run_bench_command(opts: &Opts) -> ExitCode {
+    if let Some(path) = opts.get::<String>("--check") {
+        let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
             Err(e) => {
                 eprintln!("bench: cannot read {path}: {e}");
@@ -736,12 +1161,9 @@ fn run_bench_command(args: &SweepArgs) -> ExitCode {
     }
 
     let options = perf::BenchOptions {
-        quick: args.bench_quick,
-        label: args
-            .bench_label
-            .clone()
-            .unwrap_or_else(|| "local".to_owned()),
-        corpus: args.bench_corpus.clone().map(std::path::PathBuf::from),
+        quick: opts.has("--quick"),
+        label: opts.get("--label").unwrap_or_else(|| "local".to_owned()),
+        corpus: opts.get::<String>("--corpus").map(std::path::PathBuf::from),
     };
     println!(
         "bench: label {}{}",
@@ -801,9 +1223,8 @@ fn run_bench_command(args: &SweepArgs) -> ExitCode {
         eprintln!("bench: emitted report fails validation: {e}");
         return ExitCode::FAILURE;
     }
-    let path = args
-        .bench_out
-        .clone()
+    let path = opts
+        .get("--out")
         .unwrap_or_else(|| format!("BENCH_{}.json", options.label));
     if let Err(e) = std::fs::write(&path, &json) {
         eprintln!("bench: cannot write {path}: {e}");
@@ -815,8 +1236,8 @@ fn run_bench_command(args: &SweepArgs) -> ExitCode {
     // violation (shape mismatch or a >2x throughput regression) is printed
     // by name and fails the run — this is what CI diffs against the
     // checked-in baseline.
-    if let Some(baseline_path) = &args.bench_compare {
-        let baseline = match std::fs::read_to_string(baseline_path) {
+    if let Some(baseline_path) = opts.get::<String>("--compare") {
+        let baseline = match std::fs::read_to_string(&baseline_path) {
             Ok(text) => text,
             Err(e) => {
                 eprintln!("bench: cannot read baseline {baseline_path}: {e}");
@@ -841,9 +1262,8 @@ fn run_bench_command(args: &SweepArgs) -> ExitCode {
 
     // Accumulate the perf trajectory: one compact row per measuring run,
     // appended to a rolling document CI archives alongside the full report.
-    let trajectory_path = args
-        .bench_trajectory
-        .clone()
+    let trajectory_path = opts
+        .get("--trajectory")
         .unwrap_or_else(|| "BENCH_trajectory.json".to_owned());
     let row = perf::trajectory_row(&report, &head_commit());
     match perf::append_trajectory(std::path::Path::new(&trajectory_path), &row) {
@@ -867,13 +1287,6 @@ fn head_commit() -> String {
         .map(|hash| hash.trim().to_owned())
         .filter(|hash| !hash.is_empty())
         .unwrap_or_else(|| "unknown".to_owned())
-}
-
-/// Parses a `--size` value with the same named error as the global flag.
-fn parse_size(raw: &str) -> Result<WorkloadSize, String> {
-    WorkloadSize::parse(raw).ok_or_else(|| {
-        format!("invalid value '{raw}' for --size (expected tiny, default or large)")
-    })
 }
 
 /// Records one kernel execution to a `.sctrace` file.
@@ -901,44 +1314,13 @@ fn record_one(workload: &str, size: WorkloadSize, path: &Path) -> Result<(u64, u
     Ok((writer.records(), writer.digest()))
 }
 
-fn trace_record(args: &[String]) -> ExitCode {
-    let mut size = WorkloadSize::Default;
-    let mut out: Option<String> = None;
-    let mut all = false;
-    let mut workload: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--size" => {
-                let Some(raw) = it.next() else {
-                    return fail("--size expects a value");
-                };
-                size = match parse_size(raw) {
-                    Ok(s) => s,
-                    Err(e) => return fail(&e),
-                };
-            }
-            "--out" | "-o" => {
-                let Some(value) = it.next() else {
-                    return fail("--out expects a value");
-                };
-                out = Some(value.clone());
-            }
-            "--all" => all = true,
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown option '{other}'"));
-            }
-            other => {
-                if workload.replace(other.to_owned()).is_some() {
-                    return fail("trace record expects exactly one workload");
-                }
-            }
-        }
-    }
-    let Some(out) = out else {
+fn trace_record(opts: &Opts) -> ExitCode {
+    let size = opts.get("--size").unwrap_or(WorkloadSize::Default);
+    let Some(out) = opts.get::<String>("--out") else {
         return fail("trace record requires --out PATH");
     };
-    let targets: Vec<(String, std::path::PathBuf)> = match (all, workload) {
+    let workload = opts.positionals.first().cloned();
+    let targets: Vec<(String, std::path::PathBuf)> = match (opts.has("--all"), workload) {
         (true, Some(_)) => return fail("--all and a workload name are mutually exclusive"),
         (false, None) => return fail("trace record expects a workload name or --all"),
         (true, None) => {
@@ -970,73 +1352,11 @@ fn trace_record(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn trace_replay(args: &[String]) -> ExitCode {
-    let mut file: Option<String> = None;
-    let mut schemes: Option<Vec<ExtScheme>> = None;
-    let mut orgs: Option<Vec<OrgKind>> = None;
-    let mut mems: Option<Vec<MemProfile>> = None;
-    let mut node = ProcessNode::Paper180nm;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--energy-model" => {
-                let Some(raw) = it.next() else {
-                    return fail("--energy-model expects a value");
-                };
-                let Some(value) = ProcessNode::parse(raw) else {
-                    let known: Vec<&str> = ProcessNode::ALL.iter().map(|n| n.id()).collect();
-                    return fail(&format!(
-                        "invalid value '{raw}' for --energy-model (expected one of {})",
-                        known.join(", ")
-                    ));
-                };
-                node = value;
-            }
-            "--schemes" => {
-                let Some(raw) = it.next() else {
-                    return fail("--schemes expects a value");
-                };
-                let Some(value) = parse_list(raw, ExtScheme::parse) else {
-                    return fail(&format!("invalid value '{raw}' for --schemes"));
-                };
-                schemes = Some(value);
-            }
-            "--orgs" => {
-                let Some(raw) = it.next() else {
-                    return fail("--orgs expects a value");
-                };
-                if raw == "all" {
-                    orgs = Some(OrgKind::ALL.to_vec());
-                } else {
-                    let Some(value) = parse_list(raw, OrgKind::parse) else {
-                        return fail(&format!("invalid value '{raw}' for --orgs"));
-                    };
-                    orgs = Some(value);
-                }
-            }
-            "--mems" => {
-                let Some(raw) = it.next() else {
-                    return fail("--mems expects a value");
-                };
-                let Some(value) = parse_list(raw, MemProfile::parse) else {
-                    return fail(&format!("invalid value '{raw}' for --mems"));
-                };
-                mems = Some(value);
-            }
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown option '{other}'"));
-            }
-            other => {
-                if file.replace(other.to_owned()).is_some() {
-                    return fail("trace replay expects exactly one file");
-                }
-            }
-        }
-    }
-    let Some(file) = file else {
+fn trace_replay(opts: &Opts) -> ExitCode {
+    let Some(file) = opts.positionals.first() else {
         return fail("trace replay expects a .sctrace file");
     };
-    let input = match TraceInput::load(&file) {
+    let input = match TraceInput::load(file) {
         Ok(input) => input,
         Err(e) => {
             eprintln!("trace replay: cannot read {file}: {e}");
@@ -1049,24 +1369,19 @@ fn trace_replay(args: &[String]) -> ExitCode {
         input.decoded().len(),
         input.digest()
     );
-    let mut spec = SweepSpec::full(WorkloadSize::Tiny)
+    let spec = SweepSpec::full(WorkloadSize::Tiny)
         .no_kernels()
         .trace_files(std::slice::from_ref(&input))
         .mems(&[MemProfile::Paper]);
-    if let Some(schemes) = &schemes {
-        spec = spec.schemes(schemes);
-    }
-    if let Some(orgs) = &orgs {
-        spec = spec.orgs(orgs);
-    }
-    if let Some(mems) = &mems {
-        spec = spec.mems(mems);
-    }
+    let spec = with_axes(spec, opts);
     if spec.is_empty() {
         eprintln!("trace replay: the requested configuration set is empty");
         return ExitCode::FAILURE;
     }
     let summary = run_sweep(&spec, &SweepOptions::default());
+    let node = opts
+        .get("--energy-model")
+        .unwrap_or(ProcessNode::Paper180nm);
     let model = node.model();
     let leaky = model.has_leakage();
     if leaky {
@@ -1186,49 +1501,11 @@ fn trace_golden(args: &[String]) -> ExitCode {
 /// (pc, word) pairs and analyzed under an unknown entry state — and since
 /// the dynamic values are right there, every record is differentially
 /// verified against the computed bounds on the spot.
-fn run_analyze_command(args: &[String]) -> ExitCode {
-    let mut target: Option<String> = None;
-    let mut size = WorkloadSize::Default;
-    let mut csv: Option<String> = None;
-    let mut json: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--size" => {
-                let Some(raw) = it.next() else {
-                    return fail("--size expects a value");
-                };
-                size = match parse_size(raw) {
-                    Ok(value) => value,
-                    Err(e) => return fail(&e),
-                };
-            }
-            "--csv" => {
-                let Some(value) = it.next() else {
-                    return fail("--csv expects a value");
-                };
-                csv = Some(value.clone());
-            }
-            "--json" => {
-                let Some(value) = it.next() else {
-                    return fail("--json expects a value");
-                };
-                json = Some(value.clone());
-            }
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown analyze option '{other}'"));
-            }
-            other => {
-                if target.is_some() {
-                    return fail("analyze expects exactly one workload or .sctrace file");
-                }
-                target = Some(other.to_owned());
-            }
-        }
-    }
-    let Some(target) = target else {
+fn run_analyze_command(opts: &Opts) -> ExitCode {
+    let Some(target) = opts.positionals.first().cloned() else {
         return fail("analyze expects a workload name or a .sctrace file");
     };
+    let size = opts.get("--size").unwrap_or(WorkloadSize::Default);
 
     let is_trace = target.ends_with(".sctrace") || Path::new(&target).is_file();
     let report = if is_trace {
@@ -1317,12 +1594,12 @@ fn run_analyze_command(args: &[String]) -> ExitCode {
         );
     }
 
-    for (path, content, what) in [
-        (csv.as_deref(), report.to_csv(), "CSV"),
-        (json.as_deref(), report.to_json(), "JSON"),
+    for (flag, content, what) in [
+        ("--csv", report.to_csv(), "CSV"),
+        ("--json", report.to_json(), "JSON"),
     ] {
-        if let Some(path) = path {
-            if let Err(e) = std::fs::write(path, content) {
+        if let Some(path) = opts.get::<String>(flag) {
+            if let Err(e) = std::fs::write(&path, content) {
                 eprintln!("analyze: cannot write {what} to {path}: {e}");
                 return ExitCode::FAILURE;
             }
@@ -1338,71 +1615,17 @@ fn run_analyze_command(args: &[String]) -> ExitCode {
 /// executes its `round_robin` share `I/N` on the in-process executor
 /// against the shared result cache, and reports per-job provenance on
 /// stdout for the parent to verify.
-fn run_worker_command(args: &[String]) -> ExitCode {
-    let mut shard: Option<(usize, usize)> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut trace_paths: Vec<String> = Vec::new();
-    let mut obs_log: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--shard" => {
-                let Some(raw) = it.next() else {
-                    return fail("--shard expects a value");
-                };
-                shard = match parse_shard(raw) {
-                    Ok(parsed) => Some(parsed),
-                    Err(e) => return fail(&format!("invalid value '{raw}' for --shard: {e}")),
-                };
-            }
-            "--cache" => {
-                let Some(value) = it.next() else {
-                    return fail("--cache expects a value");
-                };
-                cache_dir = Some(value.clone());
-            }
-            "--workers" => {
-                let Some(raw) = it.next() else {
-                    return fail("--workers expects a value");
-                };
-                let Some(value) = raw.parse().ok().filter(|&n: &usize| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --workers (expected a positive integer)"
-                    ));
-                };
-                workers = Some(value);
-            }
-            "--traces" => {
-                let Some(raw) = it.next() else {
-                    return fail("--traces expects a value");
-                };
-                trace_paths = raw
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|p| !p.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-            }
-            "--obs-log" => {
-                let Some(value) = it.next() else {
-                    return fail("--obs-log expects a value");
-                };
-                obs_log = Some(value.clone());
-            }
-            other => return fail(&format!("unknown worker option '{other}'")),
-        }
-    }
-    let Some((index, count)) = shard else {
+fn run_worker_command(opts: &Opts) -> ExitCode {
+    let Some((index, count)) = opts.get("--shard") else {
         return fail("worker requires --shard INDEX/COUNT");
     };
-    if let Some(path) = &obs_log {
-        if let Err(e) = sigcomp_obs::global().open_jsonl_log(Path::new(path)) {
+    if let Some(path) = opts.get::<String>("--obs-log") {
+        if let Err(e) = sigcomp_obs::global().open_jsonl_log(Path::new(&path)) {
             eprintln!("worker: cannot open obs log {path}: {e}");
             return ExitCode::FAILURE;
         }
     }
-    let Some(cache_dir) = cache_dir else {
+    let Some(cache_dir) = opts.get::<String>("--cache") else {
         return fail("worker requires --cache DIR (the shared merge point)");
     };
     let cache = match ResultCache::open(&cache_dir) {
@@ -1412,6 +1635,7 @@ fn run_worker_command(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let trace_paths: Vec<String> = opts.get("--traces").unwrap_or_default();
     let mut traces = Vec::with_capacity(trace_paths.len());
     for path in &trace_paths {
         match TraceInput::load(path) {
@@ -1459,7 +1683,7 @@ fn run_worker_command(args: &[String]) -> ExitCode {
     }
 
     let options = SweepOptions {
-        workers,
+        workers: opts.get("--workers"),
         cache: Some(cache),
         backend: ExecBackend::LocalThreads,
     };
@@ -1486,441 +1710,59 @@ fn run_worker_command(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Dispatches `repro trace <subcommand> …`.
-fn run_trace_command(args: &[String]) -> ExitCode {
-    let Some(verb) = args.first() else {
-        return fail("trace expects a subcommand (record, replay, stat or golden)");
-    };
-    let rest = &args[1..];
-    match verb.as_str() {
-        "record" => trace_record(rest),
-        "replay" => trace_replay(rest),
-        "stat" => trace_stat(rest),
-        "golden" => trace_golden(rest),
-        other => fail(&format!("unknown trace subcommand '{other}'")),
+fn main() -> ExitCode {
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    // `trace`, `worker` and `analyze` own their own grammars (subcommand +
+    // positional files / the shard protocol flags), so they are dispatched
+    // before the main grammar.
+    match argv.first().map(String::as_str) {
+        Some("trace") => {
+            let rest = argv.get(2..).unwrap_or_default();
+            return match argv.get(1).map(String::as_str) {
+                Some("record") => run_with(&RECORD_ARGS, rest, trace_record),
+                Some("replay") => run_with(&REPLAY_ARGS, rest, trace_replay),
+                Some("stat") => trace_stat(rest),
+                Some("golden") => trace_golden(rest),
+                Some(other) => fail(&format!("unknown trace subcommand '{other}'")),
+                None => fail("trace expects a subcommand (record, replay, stat or golden)"),
+            };
+        }
+        Some("worker") => return run_with(&WORKER_ARGS, &argv[1..], run_worker_command),
+        Some("analyze") => return run_with(&ANALYZE_ARGS, &argv[1..], run_analyze_command),
+        // `fleet <verb>` reuses the main grammar (a fleet sweep takes the
+        // same axes/cache/export flags as a plain sweep): the verb is
+        // rewritten into an internal command name.
+        Some("fleet") => {
+            let command = match argv.get(1).map(String::as_str) {
+                Some("serve") => "fleet-serve",
+                Some("sweep") => "fleet-sweep",
+                Some("status") => "fleet-status",
+                Some(other) => {
+                    return fail(&format!(
+                        "unknown fleet subcommand '{other}' (expected serve, sweep or status)"
+                    ))
+                }
+                None => return fail("fleet expects a subcommand (serve, sweep or status)"),
+            };
+            argv.splice(..2, [command.to_owned()]);
+        }
+        _ => {}
     }
+    run_with(&MAIN_ARGS, &argv, run_commands)
 }
 
-fn main() -> ExitCode {
-    let mut size = WorkloadSize::Default;
-    let mut commands: Vec<String> = Vec::new();
-    let mut sweep_args = SweepArgs::default();
-
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    // `trace` and `worker` own their own argument grammars (subcommand +
-    // positional files / the shard protocol flags), so they are dispatched
-    // before the global flag loop.
-    if argv.first().map(String::as_str) == Some("trace") {
-        return run_trace_command(&argv[1..]);
+/// Runs the main grammar's commands in order, stopping at the first failure.
+fn run_commands(opts: &Opts) -> ExitCode {
+    if opts.has("--help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
     }
-    if argv.first().map(String::as_str) == Some("worker") {
-        return run_worker_command(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("analyze") {
-        return run_analyze_command(&argv[1..]);
-    }
-    // `fleet <verb>` reuses the global flag grammar (a fleet sweep takes
-    // the same axes/cache/export flags as a plain sweep): the verb is
-    // rewritten into an internal command name and the remaining arguments
-    // fall through to the flag loop below.
-    if argv.first().map(String::as_str) == Some("fleet") {
-        let command = match argv.get(1).map(String::as_str) {
-            Some("serve") => "fleet-serve",
-            Some("sweep") => "fleet-sweep",
-            Some("status") => "fleet-status",
-            Some(other) => {
-                return fail(&format!(
-                    "unknown fleet subcommand '{other}' (expected serve, sweep or status)"
-                ))
-            }
-            None => return fail("fleet expects a subcommand (serve, sweep or status)"),
-        };
-        commands.push(command.to_owned());
-        argv.drain(..2);
-    }
-
-    let mut args = argv.into_iter();
-    // An option's value: `--flag VALUE`. A missing value is reported by
-    // name rather than as a generic usage failure.
-    macro_rules! value_of {
-        ($flag:expr) => {
-            match args.next() {
-                Some(value) => value,
-                None => return fail(&format!("{} expects a value", $flag)),
-            }
-        };
-    }
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--size" => {
-                let raw = value_of!("--size");
-                size = match parse_size(&raw) {
-                    Ok(value) => value,
-                    Err(e) => return fail(&e),
-                };
-            }
-            "--workers" => {
-                let raw = value_of!("--workers");
-                let Some(value) = raw.parse().ok().filter(|&n: &usize| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --workers (expected a positive integer)"
-                    ));
-                };
-                sweep_args.workers = Some(value);
-            }
-            "--max-batch" => {
-                let raw = value_of!("--max-batch");
-                let Some(value) = raw.parse().ok().filter(|&n: &usize| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --max-batch (expected a positive integer)"
-                    ));
-                };
-                sweep_args.max_batch = Some(value);
-            }
-            "--shards" => {
-                let raw = value_of!("--shards");
-                let Some(value) = raw.parse().ok().filter(|&n: &usize| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --shards (expected a positive integer)"
-                    ));
-                };
-                sweep_args.shards = Some(value);
-            }
-            "--backend" => {
-                let raw = value_of!("--backend");
-                sweep_args.backend = match parse_backend(&raw) {
-                    Ok(choice) => Some(choice),
-                    Err(e) => return fail(&e),
-                };
-            }
-            "--memo-cap" => {
-                let raw = value_of!("--memo-cap");
-                let Some(value) = raw.parse().ok().filter(|&n: &usize| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --memo-cap (expected a positive integer)"
-                    ));
-                };
-                sweep_args.memo_cap = Some(value);
-            }
-            "--ticket-cap" => {
-                let raw = value_of!("--ticket-cap");
-                let Some(value) = raw.parse().ok().filter(|&n: &usize| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --ticket-cap (expected a positive integer)"
-                    ));
-                };
-                sweep_args.ticket_cap = Some(value);
-            }
-            "--max-conns" => {
-                let raw = value_of!("--max-conns");
-                let Some(value) = raw.parse().ok().filter(|&n: &usize| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --max-conns (expected a positive integer)"
-                    ));
-                };
-                sweep_args.max_conns = Some(value);
-            }
-            "--read-deadline-ms" => {
-                let raw = value_of!("--read-deadline-ms");
-                let Some(value) = raw.parse().ok().filter(|&n: &u64| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --read-deadline-ms \
-                         (expected a positive integer)"
-                    ));
-                };
-                sweep_args.read_deadline_ms = Some(value);
-            }
-            "--keep-alive" => {
-                let raw = value_of!("--keep-alive");
-                sweep_args.keep_alive = match raw.as_str() {
-                    "on" => Some(true),
-                    "off" => Some(false),
-                    _ => {
-                        return fail(&format!(
-                            "invalid value '{raw}' for --keep-alive (expected on or off)"
-                        ))
-                    }
-                };
-            }
-            "--schemes" => {
-                let raw = value_of!("--schemes");
-                let Some(value) = parse_list(&raw, ExtScheme::parse) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --schemes (expected a comma-separated \
-                         subset of 2bit, 3bit, halfword)"
-                    ));
-                };
-                sweep_args.schemes = Some(value);
-            }
-            "--orgs" => {
-                let raw = value_of!("--orgs");
-                if raw == "all" {
-                    sweep_args.orgs = Some(OrgKind::ALL.to_vec());
-                } else {
-                    let Some(value) = parse_list(&raw, OrgKind::parse) else {
-                        let known: Vec<&str> = OrgKind::ALL.iter().map(|o| o.id()).collect();
-                        return fail(&format!(
-                            "invalid value '{raw}' for --orgs (expected 'all' or a \
-                             comma-separated subset of {})",
-                            known.join(", ")
-                        ));
-                    };
-                    sweep_args.orgs = Some(value);
-                }
-            }
-            "--mems" => {
-                let raw = value_of!("--mems");
-                let Some(value) = parse_list(&raw, MemProfile::parse) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --mems (expected a comma-separated \
-                         subset of paper, small-l1, wide-l2, slow-memory)"
-                    ));
-                };
-                sweep_args.mems = Some(value);
-            }
-            "--traces" => {
-                let raw = value_of!("--traces");
-                let paths: Vec<String> = raw
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|p| !p.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-                if paths.is_empty() {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --traces (expected a comma-separated \
-                         list of .sctrace paths)"
-                    ));
-                }
-                sweep_args.traces = Some(paths);
-            }
-            "--energy-model" => {
-                let raw = value_of!("--energy-model");
-                let Some(value) = parse_list(&raw, ProcessNode::parse) else {
-                    let known: Vec<&str> = ProcessNode::ALL.iter().map(|n| n.id()).collect();
-                    return fail(&format!(
-                        "invalid value '{raw}' for --energy-model (expected a comma-separated \
-                         subset of {})",
-                        known.join(", ")
-                    ));
-                };
-                sweep_args.energy_models = Some(value);
-            }
-            "--cache" => sweep_args.cache_dir = Some(value_of!("--cache")),
-            "--no-cache" => sweep_args.no_cache = true,
-            "--csv" => sweep_args.csv = Some(value_of!("--csv")),
-            "--json" => sweep_args.json = Some(value_of!("--json")),
-            "--addr" => sweep_args.addr = Some(value_of!("--addr")),
-            "--obs-log" => sweep_args.obs_log = Some(value_of!("--obs-log")),
-            "--quick" => sweep_args.bench_quick = true,
-            "--label" => sweep_args.bench_label = Some(value_of!("--label")),
-            "--out" => sweep_args.bench_out = Some(value_of!("--out")),
-            "--corpus" => sweep_args.bench_corpus = Some(value_of!("--corpus")),
-            "--check" => sweep_args.bench_check = Some(value_of!("--check")),
-            "--compare" => sweep_args.bench_compare = Some(value_of!("--compare")),
-            "--trajectory" => sweep_args.bench_trajectory = Some(value_of!("--trajectory")),
-            "--fleet" => {
-                let raw = value_of!("--fleet");
-                let workers: Vec<String> = raw
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|a| !a.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-                if workers.is_empty() {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --fleet (expected a comma-separated \
-                         list of host:port worker addresses)"
-                    ));
-                }
-                sweep_args.fleet_workers = Some(workers);
-            }
-            "--frontier" => sweep_args.frontier = Some(value_of!("--frontier")),
-            "--self-addr" => sweep_args.self_addr = Some(value_of!("--self-addr")),
-            "--heartbeat-ms" => {
-                let raw = value_of!("--heartbeat-ms");
-                let Some(value) = raw.parse().ok().filter(|&n: &u64| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --heartbeat-ms (expected a positive integer)"
-                    ));
-                };
-                sweep_args.heartbeat_ms = Some(value);
-            }
-            "--timeout-ms" => {
-                let raw = value_of!("--timeout-ms");
-                let Some(value) = raw.parse().ok().filter(|&n: &u64| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --timeout-ms (expected a positive integer)"
-                    ));
-                };
-                sweep_args.timeout_ms = Some(value);
-            }
-            "--attempts" => {
-                let raw = value_of!("--attempts");
-                let Some(value) = raw.parse().ok().filter(|&n: &u32| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --attempts (expected a positive integer)"
-                    ));
-                };
-                sweep_args.attempts = Some(value);
-            }
-            "--static-prune" => {
-                let raw = value_of!("--static-prune");
-                let Some(value) = raw
-                    .parse()
-                    .ok()
-                    .filter(|&p: &f64| p.is_finite() && p >= 0.0)
-                else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --static-prune \
-                         (expected a non-negative saving percentage)"
-                    ));
-                };
-                sweep_args.static_prune = Some(value);
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown option '{other}'"));
-            }
-            // `trace` and `worker` own their own grammars (their option
-            // flags would otherwise be misreported by this loop), so a
-            // misplaced one gets a pointed error instead of
-            // "unknown option '--out'".
-            "trace" => {
-                return fail(
-                    "'trace' must be the first argument \
-                     (e.g. `repro trace record rawcaudio --size tiny --out f.sctrace`)",
-                );
-            }
-            "worker" => {
-                return fail(
-                    "'worker' must be the first argument \
-                     (e.g. `repro worker --shard 0/2 --cache DIR`)",
-                );
-            }
-            "analyze" => {
-                return fail(
-                    "'analyze' must be the first argument \
-                     (e.g. `repro analyze rawcaudio --size tiny`)",
-                );
-            }
-            "fleet" => {
-                return fail(
-                    "'fleet' must be the first argument \
-                     (e.g. `repro fleet sweep --fleet host:port --cache DIR`)",
-                );
-            }
-            other => commands.push(other.to_owned()),
-        }
-    }
-    if commands.is_empty() {
-        commands.push("all".to_owned());
-    }
-
-    // Subcommand-specific flags must not be silently ignored: a user who
-    // passes `--csv` without `sweep` (or `--addr` without `serve`) would
-    // otherwise believe the flag took effect.
-    let runs = |command: &str| commands.iter().any(|c| c == command);
-    let sweeps = runs("sweep") || runs("fleet-sweep");
-    let serves = runs("serve") || runs("fleet-serve");
-    if !runs("sweep") && sweep_args.shards.is_some() {
-        return fail("--shards only applies to the sweep subcommand");
-    }
-    if !sweeps {
-        for (set, flag) in [
-            (sweep_args.traces.is_some(), "--traces"),
-            (sweep_args.energy_models.is_some(), "--energy-model"),
-            (sweep_args.csv.is_some(), "--csv"),
-            (sweep_args.json.is_some(), "--json"),
-            (sweep_args.static_prune.is_some(), "--static-prune"),
-        ] {
-            if set {
-                return fail(&format!(
-                    "{flag} only applies to the sweep and fleet sweep subcommands"
-                ));
-            }
-        }
-    }
-    if !sweeps && !runs("energy") {
-        for (set, flag) in [
-            (sweep_args.schemes.is_some(), "--schemes"),
-            (sweep_args.orgs.is_some(), "--orgs"),
-            (sweep_args.mems.is_some(), "--mems"),
-        ] {
-            if set {
-                return fail(&format!(
-                    "{flag} only applies to the sweep, fleet sweep and energy subcommands"
-                ));
-            }
-        }
-    }
-    if !serves {
-        for (set, flag) in [
-            (sweep_args.addr.is_some(), "--addr"),
-            (sweep_args.max_batch.is_some(), "--max-batch"),
-            (sweep_args.backend.is_some(), "--backend"),
-            (sweep_args.memo_cap.is_some(), "--memo-cap"),
-            (sweep_args.ticket_cap.is_some(), "--ticket-cap"),
-            (sweep_args.max_conns.is_some(), "--max-conns"),
-            (sweep_args.read_deadline_ms.is_some(), "--read-deadline-ms"),
-            (sweep_args.keep_alive.is_some(), "--keep-alive"),
-            (sweep_args.self_addr.is_some(), "--self-addr"),
-            (sweep_args.heartbeat_ms.is_some(), "--heartbeat-ms"),
-        ] {
-            if set {
-                return fail(&format!(
-                    "{flag} only applies to the serve and fleet serve subcommands"
-                ));
-            }
-        }
-    }
-    if !serves && !runs("fleet-status") && sweep_args.frontier.is_some() {
-        return fail("--frontier only applies to the serve and fleet status subcommands");
-    }
-    if !runs("fleet-sweep") && sweep_args.fleet_workers.is_some() {
-        return fail("--fleet only applies to the fleet sweep subcommand");
-    }
-    if !runs("fleet-sweep") && sweep_args.attempts.is_some() {
-        return fail("--attempts only applies to the fleet sweep subcommand");
-    }
-    if !runs("fleet-sweep") && !runs("fleet-status") && sweep_args.timeout_ms.is_some() {
-        return fail("--timeout-ms only applies to the fleet sweep and fleet status subcommands");
-    }
-    if !runs("bench") {
-        for (set, flag) in [
-            (sweep_args.bench_quick, "--quick"),
-            (sweep_args.bench_label.is_some(), "--label"),
-            (sweep_args.bench_out.is_some(), "--out"),
-            (sweep_args.bench_corpus.is_some(), "--corpus"),
-            (sweep_args.bench_check.is_some(), "--check"),
-            (sweep_args.bench_compare.is_some(), "--compare"),
-            (sweep_args.bench_trajectory.is_some(), "--trajectory"),
-        ] {
-            if set {
-                return fail(&format!("{flag} only applies to the bench subcommand"));
-            }
-        }
-    }
-    if !sweeps && !serves && !runs("bench") && sweep_args.obs_log.is_some() {
-        return fail("--obs-log only applies to the sweep, serve and bench subcommands");
-    }
-    if !sweeps
-        && !runs("energy")
-        && !serves
-        && (sweep_args.workers.is_some() || sweep_args.no_cache || sweep_args.cache_dir.is_some())
-    {
-        return fail(
-            "--workers/--cache/--no-cache only apply to the sweep, energy and serve subcommands",
-        );
-    }
+    let size = opts.get("--size").unwrap_or(WorkloadSize::Default);
 
     // One JSONL event stream per process: opened up front so every
     // instrumented path of every requested subcommand feeds it.
-    if let Some(path) = &sweep_args.obs_log {
-        if let Err(e) = sigcomp_obs::global().open_jsonl_log(Path::new(path)) {
+    if let Some(path) = opts.get::<String>("--obs-log") {
+        if let Err(e) = sigcomp_obs::global().open_jsonl_log(Path::new(&path)) {
             eprintln!("repro: cannot open obs log {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -1940,118 +1782,225 @@ fn main() -> ExitCode {
             .clone()
     };
 
-    for command in &commands {
+    for command in &opts.positionals {
         let expanded: Vec<&str> = if command == "all" {
-            vec![
-                "table1",
-                "table2",
-                "table3",
-                "table4",
-                "table5",
-                "table6",
-                "fig4",
-                "fig6",
-                "fig8",
-                "fig10",
-                "bottleneck",
-            ]
+            PAPER.to_vec()
         } else {
             vec![command.as_str()]
         };
         for cmd in expanded {
-            match cmd {
-                "table1" => print!("{}", table1(&merged_stats(&byte_activity(size)))),
-                "table2" => print!("{}", table2()),
-                "table3" => print!("{}", table3(&merged_stats(&byte_activity(size)))),
-                "table4" => print!("{}", table4()),
-                "table5" => print!(
-                    "{}",
-                    activity_table(&byte_activity(size), ExtScheme::ThreeBit)
-                ),
-                "table6" => print!(
-                    "{}",
-                    activity_table(&half_activity(size), ExtScheme::Halfword)
-                ),
-                "fig4" => {
-                    let kinds = figure_orgs(4);
-                    print!(
-                        "{}",
-                        figure(
-                            "Figure 4: CPI of the byte-serial and halfword-serial pipelines",
-                            &cpi_study(size, &kinds),
-                            &kinds
-                        )
-                    );
+            let code = match cmd {
+                "sweep" => run_sweep_command(size, opts, false),
+                "fleet-sweep" => run_sweep_command(size, opts, true),
+                "fleet-status" => run_fleet_status_command(opts),
+                "energy" => run_energy_command(size, opts),
+                "serve" | "fleet-serve" => return run_serve_command(opts),
+                "bench" => run_bench_command(opts),
+                artefact => {
+                    let text = match artefact {
+                        "table1" => table1(&merged_stats(&byte_activity(size))),
+                        "table2" => table2(),
+                        "table3" => table3(&merged_stats(&byte_activity(size))),
+                        "table4" => table4(),
+                        "table5" => activity_table(&byte_activity(size), ExtScheme::ThreeBit),
+                        "table6" => activity_table(&half_activity(size), ExtScheme::Halfword),
+                        "bottleneck" => bottleneck(size),
+                        fig => {
+                            let number = fig["fig".len()..].parse().expect("a figure command");
+                            let title = match number {
+                                4 => "Figure 4: CPI of the byte-serial and halfword-serial pipelines",
+                                6 => "Figure 6: CPI of the byte semi-parallel pipeline",
+                                8 => "Figure 8: CPI of the byte-parallel skewed pipeline",
+                                _ => "Figure 10: CPI of the byte-parallel compressed and skewed+bypass pipelines",
+                            };
+                            let kinds = figure_orgs(number);
+                            figure(title, &cpi_study(size, &kinds), &kinds)
+                        }
+                    };
+                    print!("{text}");
+                    ExitCode::SUCCESS
                 }
-                "fig6" => {
-                    let kinds = figure_orgs(6);
-                    print!(
-                        "{}",
-                        figure(
-                            "Figure 6: CPI of the byte semi-parallel pipeline",
-                            &cpi_study(size, &kinds),
-                            &kinds
-                        )
-                    );
-                }
-                "fig8" => {
-                    let kinds = figure_orgs(8);
-                    print!(
-                        "{}",
-                        figure(
-                            "Figure 8: CPI of the byte-parallel skewed pipeline",
-                            &cpi_study(size, &kinds),
-                            &kinds
-                        )
-                    );
-                }
-                "fig10" => {
-                    let kinds = figure_orgs(10);
-                    print!(
-                        "{}",
-                        figure(
-                            "Figure 10: CPI of the byte-parallel compressed and skewed+bypass pipelines",
-                            &cpi_study(size, &kinds),
-                            &kinds
-                        )
-                    );
-                }
-                "bottleneck" => print!("{}", bottleneck(size)),
-                "sweep" => {
-                    let code = run_sweep_command(size, &sweep_args, false);
-                    if code != ExitCode::SUCCESS {
-                        return code;
-                    }
-                }
-                "fleet-sweep" => {
-                    let code = run_sweep_command(size, &sweep_args, true);
-                    if code != ExitCode::SUCCESS {
-                        return code;
-                    }
-                }
-                "fleet-status" => {
-                    let code = run_fleet_status_command(&sweep_args);
-                    if code != ExitCode::SUCCESS {
-                        return code;
-                    }
-                }
-                "energy" => {
-                    let code = run_energy_command(size, &sweep_args);
-                    if code != ExitCode::SUCCESS {
-                        return code;
-                    }
-                }
-                "serve" | "fleet-serve" => return run_serve_command(&sweep_args),
-                "bench" => {
-                    let code = run_bench_command(&sweep_args);
-                    if code != ExitCode::SUCCESS {
-                        return code;
-                    }
-                }
-                other => return fail(&format!("unknown command '{other}'")),
+            };
+            if code != ExitCode::SUCCESS {
+                return code;
             }
             println!();
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|&arg| arg.to_owned()).collect()
+    }
+
+    fn parse_main(args: &[&str]) -> Result<Opts, String> {
+        parse(&MAIN_ARGS, &strings(args))
+    }
+
+    /// The flag-like tokens of the usage text: `--size`, `-o`, …
+    fn usage_flags() -> Vec<&'static str> {
+        USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|token| token.starts_with('-') && token.len() > 1)
+            .collect()
+    }
+
+    #[test]
+    fn the_usage_text_and_the_table_name_the_same_flags() {
+        let usage = usage_flags();
+        for row in OPTS {
+            for name in row.names {
+                assert!(usage.contains(name), "{name} is missing from USAGE");
+            }
+        }
+        for token in usage {
+            assert!(
+                OPTS.iter().any(|row| row.names.contains(&token)),
+                "USAGE names {token}, which no table row accepts"
+            );
+        }
+    }
+
+    #[test]
+    fn scope_errors_render_the_messages_the_cli_tests_pin() {
+        for (args, message) in [
+            (
+                &["--csv", "out.csv", "table1"][..],
+                "--csv only applies to the sweep and fleet sweep subcommands",
+            ),
+            (
+                &["serve", "--schemes", "3bit"],
+                "--schemes only applies to the sweep, fleet sweep and energy subcommands",
+            ),
+            (
+                &["sweep", "--addr", "127.0.0.1:1"],
+                "--addr only applies to the serve and fleet serve subcommands",
+            ),
+            (
+                &["energy", "--energy-model", "modern-7nm"],
+                "--energy-model only applies to the sweep and fleet sweep subcommands",
+            ),
+            (
+                &["table1", "--workers", "2"],
+                "--workers/--cache/--no-cache only apply to the sweep, energy and serve \
+                 subcommands",
+            ),
+            (
+                &["bench", "--no-cache"],
+                "--workers/--cache/--no-cache only apply to the sweep, energy and serve \
+                 subcommands",
+            ),
+            (
+                &["table1", "--traces", "x.sctrace"],
+                "--traces only applies to the sweep and fleet sweep subcommands",
+            ),
+            (
+                &["table1", "--shards", "2"],
+                "--shards only applies to the sweep subcommand",
+            ),
+            (
+                &["table1", "--backend", "local"],
+                "--backend only applies to the serve and fleet serve subcommands",
+            ),
+            (
+                &["table1", "--keep-alive", "on"],
+                "--keep-alive only applies to the serve and fleet serve subcommands",
+            ),
+            (
+                &["table1", "--static-prune", "50"],
+                "--static-prune only applies to the sweep and fleet sweep subcommands",
+            ),
+            (
+                &["sweep", "--check", "x.json"],
+                "--check only applies to the bench subcommand",
+            ),
+            (
+                &["table1", "--obs-log", "x.jsonl"],
+                "--obs-log only applies to the sweep, serve and bench subcommands",
+            ),
+            (
+                &["--size", "tiny", "serve"],
+                "--size only applies to the table, figure, bottleneck, all, sweep, fleet sweep \
+                 and energy subcommands",
+            ),
+        ] {
+            assert_eq!(parse_main(args).err().as_deref(), Some(message), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn an_invalid_value_is_reported_before_the_scope() {
+        assert_eq!(
+            parse_main(&["table1", "--workers", "0"]).err().as_deref(),
+            Some("invalid value '0' for --workers (expected a positive integer)")
+        );
+    }
+
+    #[test]
+    fn values_read_back_as_the_types_their_commands_use() {
+        let opts = parse_main(&[
+            "--size",
+            "tiny",
+            "sweep",
+            "--workers",
+            "3",
+            "--workers",
+            "4",
+            "--orgs",
+            "all",
+            "--static-prune",
+            "12.5",
+            "--no-cache",
+        ])
+        .unwrap();
+        assert_eq!(opts.positionals, ["sweep"]);
+        assert_eq!(opts.get("--size"), Some(WorkloadSize::Tiny));
+        assert_eq!(opts.get("--workers"), Some(4usize), "the last value wins");
+        assert_eq!(opts.get("--orgs"), Some(OrgKind::ALL.to_vec()));
+        assert_eq!(opts.get("--static-prune"), Some(12.5f64));
+        assert!(opts.has("--no-cache"));
+        assert_eq!(opts.get::<String>("--cache"), None);
+
+        let opts = parse_main(&[]).unwrap();
+        assert_eq!(opts.positionals, ["all"], "no command means all");
+        assert_eq!(PAPER.last(), Some(&"bottleneck"));
+        assert_eq!(SIZED.commands.last(), Some(&"energy"));
+    }
+
+    #[test]
+    fn standalone_grammars_admit_only_their_own_rows() {
+        let opts = parse(&RECORD_ARGS, &strings(&["rawcaudio", "-o", "x.sctrace"])).unwrap();
+        assert_eq!(opts.get::<String>("--out").as_deref(), Some("x.sctrace"));
+        assert_eq!(
+            parse(
+                &REPLAY_ARGS,
+                &strings(&["f.sctrace", "--energy-model", "a,b"])
+            )
+            .err()
+            .as_deref(),
+            Some(
+                "invalid value 'a,b' for --energy-model \
+                 (expected one of paper-180nm, generic-45nm, modern-7nm)"
+            )
+        );
+        assert_eq!(
+            parse(&WORKER_ARGS, &strings(&["--no-cache"]))
+                .err()
+                .as_deref(),
+            Some("unknown worker option '--no-cache'")
+        );
+        assert_eq!(
+            parse(&ANALYZE_ARGS, &strings(&["a", "b"])).err().as_deref(),
+            Some("analyze expects exactly one workload or .sctrace file")
+        );
+        assert_eq!(
+            parse(&MAIN_ARGS, &strings(&["-o", "x"])).err().as_deref(),
+            Some("unknown option '-o'")
+        );
+    }
 }

@@ -1169,3 +1169,61 @@ fn static_prune_preserves_the_merge_invariant() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn worker_rejects_an_empty_trace_list_like_sweep() {
+    let dir = temp_dir("worker-traces");
+    let cache = dir.join("cache");
+    for args in [
+        vec!["sweep", "--traces", ","],
+        vec![
+            "worker",
+            "--shard",
+            "0/1",
+            "--cache",
+            cache.to_str().unwrap(),
+            "--traces",
+            ",",
+        ],
+    ] {
+        let out = repro(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains(
+                "invalid value ',' for --traces \
+                 (expected a comma-separated list of .sctrace paths)"
+            ),
+            "{args:?}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn size_is_rejected_by_commands_that_ignore_it() {
+    let out = repro(&["--size", "tiny", "serve"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains(
+            "--size only applies to the table, figure, bottleneck, all, sweep, \
+             fleet sweep and energy subcommands"
+        ),
+        "{err}"
+    );
+}
+
+#[test]
+fn trace_replay_value_errors_name_the_accepted_values() {
+    let out = repro(&["trace", "replay", "f.sctrace", "--schemes", "warp"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains(
+            "invalid value 'warp' for --schemes \
+             (expected a comma-separated subset of 2bit, 3bit, halfword)"
+        ),
+        "{err}"
+    );
+}

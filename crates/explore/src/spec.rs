@@ -323,7 +323,7 @@ impl JobSpec {
     /// * kernel jobs: `kernel <workload> <size> <mem> <scheme> <org>`
     /// * trace jobs: `trace <digest> <mem> <scheme> <org> <name>` — the
     ///   display name comes last and is percent-escaped
-    ///   ([`escape_wire_name`]): being a user-controlled file stem it may
+    ///   (`escape_wire_name`): being a user-controlled file stem it may
     ///   contain spaces or even newlines, which must not break the
     ///   line-oriented protocol; every other token is a fixed identifier.
     ///

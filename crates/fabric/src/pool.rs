@@ -104,7 +104,8 @@ impl WorkerPool {
 
     /// Records a heartbeat, auto-registering unknown workers (a frontier
     /// restart must not orphan a fleet that keeps heartbeating). The
-    /// snapshot replaces the previous one — see [`WorkerEntry::obs`].
+    /// snapshot replaces the previous one rather than merging with it:
+    /// worker registries are cumulative, so folding would double-count.
     pub fn heartbeat(&self, addr: &str, capacity: u64, obs: Snapshot) {
         let mut inner = self.inner.lock().unwrap();
         let entry = inner

@@ -70,8 +70,8 @@ pub(crate) struct SinkState {
 }
 
 /// A registry of named metrics. Independent registries are fully isolated —
-/// tests construct their own instead of asserting on [`global()`]
-/// (`crate::global`), which other threads share.
+/// tests construct their own instead of asserting on
+/// [`global()`](crate::global), which other threads share.
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,

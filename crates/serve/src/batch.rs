@@ -2,7 +2,7 @@
 //!
 //! Concurrent connections enqueue [`JobSpec`]s into one shared bounded
 //! queue. A single dispatcher thread drains the queue into batches of up to
-//! [`BatchConfig::max_batch`] jobs, **deduplicates** identical
+//! [`BatchConfig::max_batch`](BatchConfig#structfield.max_batch) jobs, **deduplicates** identical
 //! configurations by their content hash ([`sigcomp_explore::dedup_jobs`] —
 //! the same grouping the subprocess backend shards by, so coalescing
 //! semantics can never drift between the server and the CLI), answers what
@@ -19,7 +19,8 @@
 //! Backpressure: when the queue is full, [`Batcher::submit`] blocks the
 //! submitting connection thread until the dispatcher makes room, bounding
 //! server memory under overload. The memo is bounded too
-//! ([`BatchConfig::memo_capacity`], insertion-order eviction), so sustained
+//! ([`BatchConfig::memo_capacity`](BatchConfig#structfield.memo_capacity),
+//! insertion-order eviction), so sustained
 //! *distinct* traffic holds server memory flat instead of growing a
 //! result per job id forever.
 
@@ -32,7 +33,7 @@ use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Default [`BatchConfig::memo_capacity`]: metrics are ~300 bytes, so the
+/// Default [`BatchConfig::memo_capacity`](BatchConfig#structfield.memo_capacity): metrics are ~300 bytes, so the
 /// default memo tops out around a megabyte.
 pub const DEFAULT_MEMO_CAPACITY: usize = 4096;
 
@@ -342,7 +343,8 @@ impl Batcher {
     }
 
     /// Results currently memoized (a point-in-time sample); never exceeds
-    /// the configured [`BatchConfig::memo_capacity`].
+    /// the configured
+    /// [`BatchConfig::memo_capacity`](BatchConfig#structfield.memo_capacity).
     #[must_use]
     pub fn memo_len(&self) -> usize {
         self.shared.state.lock().expect("queue poisoned").memo.len()

@@ -139,7 +139,7 @@ pub struct ServeConfig {
     /// Reactor event-loop worker threads (0 = min(parallelism, 4)).
     pub reactor_workers: usize,
     /// Dispatch-pool threads for simulation-bound routes
-    /// (0 = [`DEFAULT_DISPATCH_THREADS`]).
+    /// (0 = `DEFAULT_DISPATCH_THREADS`, 16).
     pub dispatch_threads: usize,
 }
 

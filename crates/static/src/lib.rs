@@ -13,7 +13,7 @@
 //!   target every block),
 //! * [`Width`] / [`AbsState`] — the byte-significance lattice, a six-step
 //!   chain `⊥ < 1 < 2 < 3 < 4 < ⊤` per register plus HI/LO,
-//! * [`transfer`] — per-opcode transfer functions mirroring the
+//! * [`transfer`](mod@transfer) — per-opcode transfer functions mirroring the
 //!   interpreter's `DISPATCH` semantics (each rule carries its soundness
 //!   argument),
 //! * [`analyze_program`] — the worklist fixpoint solver, yielding
