@@ -60,12 +60,14 @@
 //!   --read-deadline-ms N per-connection read deadline: a partial request
 //!                        older than this is answered 408 and closed
 //!                        (default 10000)
-//!   --keep-alive on|off  honor client Connection: keep-alive (default on)
 //!   --frontier HOST:PORT register with (and heartbeat to) this frontier so
 //!                        it dispatches fleet shards here
 //!   --self-addr H:P      the address advertised to the frontier (default:
 //!                        the bound listen address)
 //!   --heartbeat-ms N     heartbeat interval (default 2000)
+//!   (keep-alive is the client's choice: a request that sends `Connection:
+//!   keep-alive` keeps its connection; any other gets one response and a
+//!   close)
 //!
 //! fleet (the frontier/worker topology over HTTP; see `sigcomp_fabric`):
 //!   fleet serve …        a worker: `serve` plus registration — same options,
@@ -179,9 +181,8 @@ energy options: [--workers N] [--schemes a,b] [--orgs all|a,b] [--mems a,b]
 [--cache DIR] [--no-cache]
 serve options: [--addr HOST:PORT] [--max-batch N] [--backend local|subprocess[:N]]
 [--memo-cap N] [--ticket-cap N] [--max-conns N] [--read-deadline-ms N]
-[--keep-alive on|off] [--workers N] [--cache DIR] [--no-cache]
-[--obs-log FILE] [--frontier HOST:PORT] [--self-addr HOST:PORT]
-[--heartbeat-ms N]
+[--workers N] [--cache DIR] [--no-cache] [--obs-log FILE]
+[--frontier HOST:PORT] [--self-addr HOST:PORT] [--heartbeat-ms N]
 bench options: [--quick] [--label NAME] [--out PATH] [--corpus DIR]
 [--compare BASELINE.json] [--trajectory PATH] [--obs-log FILE], or
 `repro bench --check FILE` to schema-validate a report";
@@ -332,8 +333,6 @@ enum Kind {
     /// A non-negative saving percentage.
     Percent,
     Size,
-    /// `on` or `off`.
-    OnOff,
     /// `local` or `subprocess[:SHARDS]`.
     Backend,
     /// `INDEX/COUNT`.
@@ -378,11 +377,6 @@ impl Kind {
                 .filter(|&p: &f64| p.is_finite() && p >= 0.0)
                 .map(boxed),
             Kind::Size => WorkloadSize::parse(raw).map(boxed),
-            Kind::OnOff => match raw {
-                "on" => Some(boxed(true)),
-                "off" => Some(boxed(false)),
-                _ => None,
-            },
             Kind::Node => ProcessNode::parse(raw).map(boxed),
             Kind::List(Items::Schemes) => parse_list(raw, ExtScheme::parse).map(boxed),
             Kind::List(Items::Orgs) if raw == "all" => Some(boxed(OrgKind::ALL.to_vec())),
@@ -413,7 +407,6 @@ impl Kind {
             Kind::Positive => "a positive integer".to_owned(),
             Kind::Percent => "a non-negative saving percentage".to_owned(),
             Kind::Size => "tiny, default or large".to_owned(),
-            Kind::OnOff => "on or off".to_owned(),
             Kind::Node => format!("one of {}", ids(ProcessNode::ALL, ProcessNode::id)),
             Kind::List(Items::Schemes) => subset(ids(ExtScheme::ALL, ExtScheme::id)),
             Kind::List(Items::Orgs) => {
@@ -468,7 +461,6 @@ const OPTS: &[Opt] = &[
     opt(&["--ticket-cap"], Kind::Positive, SERVES),
     opt(&["--max-conns"], Kind::Positive, SERVES),
     opt(&["--read-deadline-ms"], Kind::Positive, SERVES),
-    opt(&["--keep-alive"], Kind::OnOff, SERVES),
     opt(&["--self-addr"], Kind::Text, SERVES),
     opt(&["--heartbeat-ms"], Kind::Positive, SERVES),
     opt(&["--frontier"], Kind::Text, FRONTIER),
@@ -770,6 +762,22 @@ fn run_sweep_command(size: WorkloadSize, opts: &Opts, fleet: bool) -> ExitCode {
 
     let cache = open_cache(opts, "sweep");
     let backend = if fleet {
+        let defaults = FleetConfig::default();
+        // Attempts are counted in a u32: a larger count is an invalid
+        // value, never a silent clamp.
+        let attempts = match opts.get::<usize>("--attempts") {
+            None => defaults.attempts,
+            Some(n) => match u32::try_from(n) {
+                Ok(attempts) => attempts,
+                Err(_) => {
+                    return fail(&format!(
+                        "invalid value '{n}' for --attempts (expected a positive integer \
+                         up to {})",
+                        u32::MAX
+                    ))
+                }
+            },
+        };
         // The frontier replicates every worker's cache entries into this
         // cache and merges the sweep from it — exactly the subprocess
         // backend's merge discipline, so the output stays byte-identical.
@@ -781,15 +789,12 @@ fn run_sweep_command(size: WorkloadSize, opts: &Opts, fleet: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
         sigcomp_fabric::install();
-        let defaults = FleetConfig::default();
         ExecBackend::Fleet(FleetConfig {
             workers: opts.get("--fleet").unwrap_or_default(),
             timeout_ms: opts
                 .get::<usize>("--timeout-ms")
                 .map_or(defaults.timeout_ms, |n| n as u64),
-            attempts: opts
-                .get::<usize>("--attempts")
-                .map_or(defaults.attempts, |n| u32::try_from(n).unwrap_or(u32::MAX)),
+            attempts,
         })
     } else {
         match opts.get("--shards") {
@@ -1069,8 +1074,6 @@ fn run_serve_command(opts: &Opts) -> ExitCode {
         finished_tickets: opts.get("--ticket-cap").unwrap_or(0),
         max_conns: opts.get("--max-conns").unwrap_or(0),
         read_deadline: millis(opts, "--read-deadline-ms", 0),
-        keep_alive: opts.get("--keep-alive").unwrap_or(true),
-        ..ServeConfig::default()
     };
     let server = match Server::bind(config) {
         Ok(server) => server,
@@ -1203,17 +1206,14 @@ fn run_bench_command(opts: &Opts) -> ExitCode {
     );
     println!(
         "serve:    {} clients x{} pipelined; reactor {} req in {:.2} s ({:.0} req/s, \
-         p50 {:.0} us, p99 {:.0} us), thread-per-conn {} req ({:.0} req/s) — {:.1}x keep-alive speedup",
+         p50 {:.0} us, p99 {:.0} us)",
         report.serve.clients,
         report.serve.pipeline_depth,
         report.serve.reactor.units,
         report.serve.reactor.wall_s,
         report.serve.reactor.rate(),
         report.serve.reactor_p50_us,
-        report.serve.reactor_p99_us,
-        report.serve.threaded.units,
-        report.serve.threaded.rate(),
-        report.serve.keepalive_speedup()
+        report.serve.reactor_p99_us
     );
 
     let json = report.to_json();
@@ -1908,8 +1908,8 @@ mod tests {
                 "--backend only applies to the serve and fleet serve subcommands",
             ),
             (
-                &["table1", "--keep-alive", "on"],
-                "--keep-alive only applies to the serve and fleet serve subcommands",
+                &["table1", "--max-conns", "64"],
+                "--max-conns only applies to the serve and fleet serve subcommands",
             ),
             (
                 &["table1", "--static-prune", "50"],

@@ -14,12 +14,9 @@
 //! 3. **frontier** — repeated Pareto-frontier extraction over the sweep's
 //!    config points: points per second of post-processing.
 //! 4. **serve** — the HTTP front door at saturation: concurrent clients
-//!    hammering a memoized `POST /simulate` against an in-process server,
-//!    once through the nonblocking reactor on pipelined keep-alive
-//!    connections and once through the legacy thread-per-connection model
-//!    (one dial per request). Requests per second each, client-observed
-//!    latency quantiles for the reactor, and the keep-alive speedup ratio
-//!    the compare gate watches.
+//!    hammering a memoized `POST /simulate` against an in-process reactor
+//!    server on pipelined keep-alive connections. Requests per second and
+//!    client-observed latency quantiles.
 //!
 //! [`run`] returns a [`BenchReport`]; [`BenchReport::to_json`] renders the
 //! `sigcomp-bench v1` document that `BENCH_<label>.json` files carry, and
@@ -122,24 +119,21 @@ pub struct BenchReport {
     pub frontier_iterations: u64,
     /// Frontier phase: units are points processed across all iterations.
     pub frontier: Phase,
-    /// Serving front-door saturation: reactor vs thread-per-connection.
+    /// Serving front-door saturation through the reactor.
     pub serve: ServeBench,
     /// The process-global observability registry after the run.
     pub obs: sigcomp_obs::Snapshot,
 }
 
-/// The serve phase's measurements: the same request mix driven through both
-/// connection-handling models.
+/// The serve phase's measurements.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeBench {
-    /// Concurrent closed-loop clients per model.
+    /// Concurrent closed-loop clients.
     pub clients: u64,
-    /// Requests each reactor client wrote back-to-back per batch on its
-    /// keep-alive connection (the threaded baseline cannot pipeline — its
-    /// server closes after every response).
+    /// Requests each client wrote back-to-back per batch on its keep-alive
+    /// connection.
     pub pipeline_depth: u64,
-    /// Reactor model: units are requests served over keep-alive
-    /// connections.
+    /// Units are requests served over keep-alive connections.
     pub reactor: Phase,
     /// Client-observed p50 latency (µs) under the reactor, measured batch
     /// start → response read.
@@ -148,22 +142,6 @@ pub struct ServeBench {
     pub reactor_p95_us: f64,
     /// Client-observed p99 latency (µs) under the reactor.
     pub reactor_p99_us: f64,
-    /// Thread-per-connection model: units are requests, one dial each.
-    pub threaded: Phase,
-}
-
-impl ServeBench {
-    /// Reactor-to-threaded request-rate ratio — what keep-alive +
-    /// pipelining + the event loop buy over thread-per-connection. The
-    /// compare gate tracks this ratio, so a regression that erases the
-    /// reactor's advantage fails CI even on hosts with different raw speed.
-    pub fn keepalive_speedup(&self) -> f64 {
-        if self.threaded.rate() > 0.0 {
-            self.reactor.rate() / self.threaded.rate()
-        } else {
-            0.0
-        }
-    }
 }
 
 impl BenchReport {
@@ -222,9 +200,7 @@ impl BenchReport {
             out,
             "  \"serve\": {{\"clients\": {}, \"pipeline_depth\": {}, \
              \"reactor\": {{\"requests\": {}, \"wall_s\": {:.6}, \"req_per_sec\": {:.1}, \
-             \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}}}, \
-             \"threaded\": {{\"requests\": {}, \"wall_s\": {:.6}, \"req_per_sec\": {:.1}}}, \
-             \"keepalive_speedup\": {:.2}}},",
+             \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}}}}},",
             self.serve.clients,
             self.serve.pipeline_depth,
             self.serve.reactor.units,
@@ -232,11 +208,7 @@ impl BenchReport {
             self.serve.reactor.rate(),
             self.serve.reactor_p50_us,
             self.serve.reactor_p95_us,
-            self.serve.reactor_p99_us,
-            self.serve.threaded.units,
-            self.serve.threaded.wall_s,
-            self.serve.threaded.rate(),
-            self.serve.keepalive_speedup()
+            self.serve.reactor_p99_us
         );
         let _ = writeln!(out, "  \"obs\": {}", self.obs.to_json());
         out.push_str("}\n");
@@ -374,7 +346,7 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
         wall_s: start.elapsed().as_secs_f64(),
     };
 
-    // Phase 4: the serving front door at saturation, both models.
+    // Phase 4: the serving front door at saturation.
     let serve = bench_serve(options)?;
 
     Ok(BenchReport {
@@ -398,11 +370,10 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
 /// first simulation.
 const SERVE_BENCH_BODY: &str = "{\"workload\": \"rawcaudio\", \"size\": \"tiny\"}";
 
-/// Times both connection-handling models over the same closed-loop client
-/// fleet: the reactor on pipelined keep-alive connections, then the legacy
-/// thread-per-connection model redialing per request.
+/// Times the reactor over a closed-loop client fleet, each client
+/// pipelining on one keep-alive connection.
 fn bench_serve(options: &BenchOptions) -> Result<ServeBench, String> {
-    use sigcomp_serve::{BatchConfig, ServeConfig, ServeModel, Server};
+    use sigcomp_serve::{BatchConfig, ServeConfig, Server};
 
     let clients: usize = if options.quick { 4 } else { 8 };
     let depth: usize = if options.quick { 8 } else { 16 };
@@ -412,77 +383,62 @@ fn bench_serve(options: &BenchOptions) -> Result<ServeBench, String> {
         std::time::Duration::from_millis(1500)
     };
 
-    let run_model = |model: ServeModel| -> Result<(Phase, sigcomp_obs::Histogram), String> {
-        let server = Server::bind(ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            batch: BatchConfig {
-                sim_workers: Some(2),
-                ..BatchConfig::default()
-            },
-            model,
-            ..ServeConfig::default()
-        })
-        .map_err(|e| format!("serve bench: cannot bind: {e}"))?
-        .spawn();
-        let addr = server.addr();
-        // Warm the memo (and the accept path) before the timed window.
-        let status = serve_one_shot(addr, SERVE_BENCH_BODY)
-            .map_err(|e| format!("serve bench warm-up: {e}"))?;
-        if status != 200 {
-            return Err(format!("serve bench warm-up answered {status}"));
-        }
-        let latency = sigcomp_obs::Histogram::new(sigcomp_serve::metrics::LATENCY_BOUNDS_US);
-        let started = Instant::now();
-        let stop_at = started + window;
-        let counts = std::thread::scope(|scope| -> Vec<Result<u64, String>> {
-            let latency = &latency;
-            (0..clients)
-                .map(|_| {
-                    scope.spawn(move || match model {
-                        ServeModel::Reactor => {
-                            serve_client_pipelined(addr, SERVE_BENCH_BODY, depth, stop_at, latency)
-                        }
-                        ServeModel::ThreadPerConn => {
-                            serve_client_redial(addr, SERVE_BENCH_BODY, stop_at, latency)
-                        }
-                    })
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        batch: BatchConfig {
+            sim_workers: Some(2),
+            ..BatchConfig::default()
+        },
+        ..ServeConfig::default()
+    })
+    .map_err(|e| format!("serve bench: cannot bind: {e}"))?
+    .spawn();
+    let addr = server.addr();
+    // Warm the memo (and the accept path) before the timed window.
+    let status =
+        serve_one_shot(addr, SERVE_BENCH_BODY).map_err(|e| format!("serve bench warm-up: {e}"))?;
+    if status != 200 {
+        return Err(format!("serve bench warm-up answered {status}"));
+    }
+    let latency = sigcomp_obs::Histogram::new(sigcomp_serve::metrics::LATENCY_BOUNDS_US);
+    let started = Instant::now();
+    let stop_at = started + window;
+    let counts = std::thread::scope(|scope| -> Vec<Result<u64, String>> {
+        let latency = &latency;
+        (0..clients)
+            .map(|_| {
+                scope.spawn(move || {
+                    serve_client_pipelined(addr, SERVE_BENCH_BODY, depth, stop_at, latency)
                 })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|handle| handle.join().expect("serve bench client panicked"))
-                .collect()
-        });
-        let wall_s = started.elapsed().as_secs_f64();
-        let mut requests = 0;
-        for count in counts {
-            requests += count.map_err(|e| format!("serve bench client: {e}"))?;
-        }
-        drop(server);
-        Ok((
-            Phase {
-                units: requests,
-                wall_s,
-            },
-            latency,
-        ))
-    };
-
-    let (reactor, reactor_latency) = run_model(ServeModel::Reactor)?;
-    let (threaded, _) = run_model(ServeModel::ThreadPerConn)?;
-    let snap = reactor_latency.snapshot();
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|handle| handle.join().expect("serve bench client panicked"))
+            .collect()
+    });
+    let wall_s = started.elapsed().as_secs_f64();
+    let mut requests = 0;
+    for count in counts {
+        requests += count.map_err(|e| format!("serve bench client: {e}"))?;
+    }
+    drop(server);
+    let snap = latency.snapshot();
     Ok(ServeBench {
         clients: clients as u64,
         pipeline_depth: depth as u64,
-        reactor,
+        reactor: Phase {
+            units: requests,
+            wall_s,
+        },
         reactor_p50_us: snap.quantile(0.50),
         reactor_p95_us: snap.quantile(0.95),
         reactor_p99_us: snap.quantile(0.99),
-        threaded,
     })
 }
 
-/// One request on a fresh connection, response read to EOF (the legacy
-/// model closes after every response). Returns the status code.
+/// One request on a fresh connection with no `Connection` header, so the
+/// server closes after the response, which is read to EOF. Returns the
+/// status code.
 fn serve_one_shot(addr: std::net::SocketAddr, body: &str) -> Result<u16, String> {
     use std::io::Write as _;
     let mut stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
@@ -496,27 +452,6 @@ fn serve_one_shot(addr: std::net::SocketAddr, body: &str) -> Result<u16, String>
     read_response(&mut std::io::BufReader::new(stream))
         .map(|response| response.status)
         .map_err(|e| format!("read: {e}"))
-}
-
-/// A closed-loop client for the threaded baseline: dial, one request, read
-/// to close, repeat until the window ends. Returns its request count.
-fn serve_client_redial(
-    addr: std::net::SocketAddr,
-    body: &str,
-    stop_at: Instant,
-    latency: &sigcomp_obs::Histogram,
-) -> Result<u64, String> {
-    let mut served = 0;
-    while Instant::now() < stop_at {
-        let sent = Instant::now();
-        let status = serve_one_shot(addr, body)?;
-        if status != 200 {
-            return Err(format!("request answered {status}"));
-        }
-        latency.observe(sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        served += 1;
-    }
-    Ok(served)
 }
 
 /// A closed-loop client for the reactor: one keep-alive connection for the
@@ -653,17 +588,6 @@ pub fn validate(text: &str) -> Result<(), String> {
     for key in ["wall_s", "req_per_sec", "p50_us", "p95_us", "p99_us"] {
         number(reactor, "serve.reactor.", key)?;
     }
-    let threaded = field(serve, "serve.", "threaded")?;
-    if field(threaded, "serve.threaded.", "requests")?
-        .as_u64()
-        .is_none()
-    {
-        return Err("\"serve.threaded.requests\" is not an unsigned integer".to_owned());
-    }
-    for key in ["wall_s", "req_per_sec"] {
-        number(threaded, "serve.threaded.", key)?;
-    }
-    number(serve, "serve.", "keepalive_speedup")?;
 
     let obs = field(&json, "", "obs")?;
     for key in ["counters", "gauges", "histograms"] {
@@ -696,8 +620,7 @@ pub fn trajectory_row(report: &BenchReport, commit: &str) -> String {
          \"sweep_cold_configs_per_sec\": {:.1}, \
          \"sweep_warm_configs_per_sec\": {:.1}, \
          \"frontier_points_per_sec\": {:.1}, \
-         \"serve_reactor_req_per_sec\": {:.1}, \
-         \"serve_keepalive_speedup\": {:.2}}}",
+         \"serve_reactor_req_per_sec\": {:.1}}}",
         sigcomp_obs::json_escape(&report.label),
         sigcomp_obs::json_escape(commit),
         report.quick,
@@ -705,8 +628,7 @@ pub fn trajectory_row(report: &BenchReport, commit: &str) -> String {
         report.sweep_cold.rate(),
         report.sweep_warm.rate(),
         report.frontier.rate(),
-        report.serve.reactor.rate(),
-        report.serve.keepalive_speedup()
+        report.serve.reactor.rate()
     )
 }
 
@@ -839,7 +761,6 @@ pub fn compare(
         "sweep.warm.configs_per_sec",
         "frontier.points_per_sec",
         "serve.reactor.req_per_sec",
-        "serve.keepalive_speedup",
     ] {
         let (c, b) = match (metric(&cur, path), metric(&base, path)) {
             (Ok(c), Ok(b)) => (c, b),
@@ -911,10 +832,6 @@ mod tests {
                 reactor_p50_us: 120.0,
                 reactor_p95_us: 480.0,
                 reactor_p99_us: 900.0,
-                threaded: Phase {
-                    units: 400,
-                    wall_s: 0.5,
-                },
             },
             obs: sigcomp_obs::Snapshot::default(),
         }
@@ -954,7 +871,7 @@ mod tests {
     fn compare_accepts_identical_reports_and_names_regressions() {
         let json = sample_report().to_json();
         let lines = compare(&json, &json, DEFAULT_MAX_SLOWDOWN).expect("identical reports match");
-        assert_eq!(lines.len(), 6, "one line per throughput metric: {lines:?}");
+        assert_eq!(lines.len(), 5, "one line per throughput metric: {lines:?}");
 
         // A 100x-slower cold sweep must be called out by name.
         let mut slow = sample_report();
@@ -997,6 +914,21 @@ mod tests {
         assert!(
             violations[0].starts_with("current report:"),
             "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn the_checked_in_baseline_still_validates_and_compares_against_itself() {
+        // Older baselines carry serve keys the report no longer emits; the
+        // validator ignores extra keys, so they stay usable as-is.
+        let baseline = include_str!("../../../BENCH_baseline.json");
+        validate(baseline).expect("the checked-in baseline satisfies the schema");
+        let lines =
+            compare(baseline, baseline, DEFAULT_MAX_SLOWDOWN).expect("a baseline matches itself");
+        assert_eq!(lines.len(), 5, "one line per throughput metric: {lines:?}");
+        assert!(
+            !lines.iter().any(|line| line.contains("keepalive")),
+            "{lines:?}"
         );
     }
 

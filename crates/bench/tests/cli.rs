@@ -460,6 +460,29 @@ fn shards_flag_is_validated_and_sweep_only() {
 }
 
 #[test]
+fn fleet_sweep_attempts_past_u32_are_an_invalid_value() {
+    let dir = temp_dir("fleet-attempts");
+    let cache = dir.join("cache");
+    let out = repro(&[
+        "fleet",
+        "sweep",
+        "--size",
+        "tiny",
+        "--cache",
+        cache.to_str().unwrap(),
+        "--attempts",
+        "4294967296",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("invalid value '4294967296' for --attempts"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn worker_argument_errors_are_named() {
     let dir = temp_dir("worker-args");
     let cache = dir.join("cache");
@@ -693,8 +716,8 @@ fn serve_backend_flag_is_validated() {
             "invalid value 'never' for --read-deadline-ms",
         ),
         (
-            &["serve", "--keep-alive", "maybe"],
-            "invalid value 'maybe' for --keep-alive (expected on or off)",
+            &["serve", "--keep-alive", "on"],
+            "unknown option '--keep-alive'",
         ),
         (
             &["table1", "--max-conns", "64"],
@@ -706,7 +729,7 @@ fn serve_backend_flag_is_validated() {
         ),
         (
             &["table1", "--keep-alive", "on"],
-            "--keep-alive only applies to the serve and fleet serve subcommands",
+            "unknown option '--keep-alive'",
         ),
     ] {
         let out = repro(args);

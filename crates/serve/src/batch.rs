@@ -16,9 +16,10 @@
 //! [`JobMetrics`] (all counters are exact integers; cache hits are
 //! substitutable for simulations by construction).
 //!
-//! Backpressure: when the queue is full, [`Batcher::submit`] blocks the
-//! submitting connection thread until the dispatcher makes room, bounding
-//! server memory under overload. The memo is bounded too
+//! Backpressure: when the queue is full, a single [`Batcher::submit`] is
+//! shed with [`SubmitError::Overloaded`], and [`Batcher::submit_many`]
+//! blocks its caller until the dispatcher makes room, bounding server
+//! memory under overload. The memo is bounded too
 //! ([`BatchConfig::memo_capacity`](BatchConfig#structfield.memo_capacity),
 //! insertion-order eviction), so sustained
 //! *distinct* traffic holds server memory flat instead of growing a

@@ -1,8 +1,8 @@
-//! Minimal HTTP/1.1 request parsing and response writing.
+//! Minimal HTTP/1.1 request parsing and response serialization.
 //!
-//! Hand-rolled over `std::io` in the same spirit as the workspace's other
-//! wire formats: no external dependency, strict limits, and every failure
-//! mapped to a clean 4xx. The server speaks a deliberately small subset —
+//! Hand-rolled in the same spirit as the workspace's other wire formats:
+//! no external dependency, strict limits, and every failure mapped to a
+//! clean 4xx. The server speaks a deliberately small subset —
 //! `Content-Length` bodies only (chunked transfer encoding is rejected) —
 //! which is all the batching front-end needs and keeps the attack surface
 //! enumerable.
@@ -11,18 +11,15 @@
 //! accepts raw socket bytes in whatever fragments the kernel delivers,
 //! tolerates a request split at any byte boundary, and yields multiple
 //! pipelined requests buffered in one read — exactly what the nonblocking
-//! reactor ([`crate::reactor`]) needs. [`read_request`] wraps the same
-//! parser for blocking readers (the legacy thread-per-connection path and
-//! the unit tests), so there is one set of framing rules, not two.
+//! reactor ([`crate::reactor`]) needs. It is the only reader of requests,
+//! so there is one set of framing rules.
 //!
-//! Keep-alive is **opt-in**: [`Response::write_with_connection`] emits
+//! Keep-alive is **opt-in**: [`Response::to_bytes`] emits
 //! `Connection: keep-alive` only when the server decided to hold the
-//! connection open; the plain [`Response::write_to`] keeps the historical
-//! `Connection: close` so every pre-reactor client (which reads to EOF)
-//! still sees the stream end.
+//! connection open, and `Connection: close` otherwise, so a client that
+//! reads to EOF still sees the stream end.
 
-use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::fmt::{self, Write as _};
 
 /// Upper bound on the request line plus all header bytes.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -58,10 +55,10 @@ impl Request {
     /// (`Connection: keep-alive`, possibly in a comma-separated list).
     ///
     /// The server's reuse policy is opt-in rather than the HTTP/1.1
-    /// default-on: every pre-reactor client of this server reads responses
-    /// to EOF, so a silently persistent connection would hang them. Clients
-    /// that speak `Content-Length` framing (the fabric client, `load_gen`'s
-    /// keep-alive mode) send the header and get reuse.
+    /// default-on: a client that reads responses to EOF would hang on a
+    /// silently persistent connection. Clients that speak `Content-Length`
+    /// framing (the fabric client, `load_gen`'s keep-alive mode) send the
+    /// header and get reuse.
     #[must_use]
     pub fn wants_keep_alive(&self) -> bool {
         self.header("connection").is_some_and(|v| {
@@ -85,8 +82,6 @@ pub enum HttpError {
     BodyTooLarge,
     /// A method that carries a body arrived without `Content-Length`.
     LengthRequired,
-    /// The underlying socket failed (timeout, reset, ...).
-    Io(io::ErrorKind),
 }
 
 impl HttpError {
@@ -94,8 +89,7 @@ impl HttpError {
     #[must_use]
     pub fn status(&self) -> u16 {
         match self {
-            HttpError::Closed | HttpError::Io(_) => 400,
-            HttpError::BadRequest(_) => 400,
+            HttpError::Closed | HttpError::BadRequest(_) => 400,
             HttpError::HeadersTooLarge => 431,
             HttpError::BodyTooLarge => 413,
             HttpError::LengthRequired => 411,
@@ -113,18 +107,11 @@ impl fmt::Display for HttpError {
             }
             HttpError::BodyTooLarge => write!(f, "request body exceeds {MAX_BODY_BYTES} bytes"),
             HttpError::LengthRequired => write!(f, "content-length required"),
-            HttpError::Io(kind) => write!(f, "i/o error: {kind:?}"),
         }
     }
 }
 
 impl std::error::Error for HttpError {}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e.kind())
-    }
-}
 
 /// An incremental (push) HTTP/1.1 request parser.
 ///
@@ -132,7 +119,7 @@ impl From<io::Error> for HttpError {
 /// requests with [`RequestParser::next_request`]. The parser tolerates
 /// requests split across arbitrary TCP segment boundaries (including inside
 /// the `\r\n` pair) and multiple pipelined requests arriving in one buffer,
-/// and enforces the same header/body limits as [`read_request`].
+/// and enforces [`MAX_HEADER_BYTES`] and [`MAX_BODY_BYTES`].
 ///
 /// After an `Err` the connection's framing is lost and unrecoverable: the
 /// caller must answer with the error's status and close.
@@ -318,30 +305,6 @@ fn body_length(request: &Request) -> Result<usize, HttpError> {
     Ok(length)
 }
 
-/// Reads one request from `reader`, enforcing the header and body limits —
-/// the blocking wrapper over [`RequestParser`] used by the legacy
-/// thread-per-connection path and the tests.
-///
-/// # Errors
-///
-/// [`HttpError::Closed`] on a clean end-of-stream before any byte of a
-/// request; any other variant describes a malformed or oversized request.
-pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
-    let mut parser = RequestParser::new();
-    loop {
-        if let Some(request) = parser.next_request()? {
-            return Ok(request);
-        }
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            return Err(parser.closed());
-        }
-        let n = chunk.len();
-        parser.push(chunk);
-        reader.consume(n);
-    }
-}
-
 /// An outgoing response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
@@ -400,51 +363,28 @@ impl Response {
         Response::error(503, "connection limit reached").with_retry_after(retry_after_secs)
     }
 
-    /// Serializes the response (status line, `Content-Type`,
-    /// `Content-Length`, `Connection: close`, body) to `writer`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write errors.
-    pub fn write_to(&self, writer: &mut impl Write) -> io::Result<()> {
-        self.write_with_connection(writer, false)
-    }
-
-    /// Serializes the response with an explicit connection disposition:
+    /// The full serialized response — status line, `Content-Type`,
+    /// `Content-Length`, `Connection`, an optional `Retry-After`, then the
+    /// body — as the reactor's write buffer. `keep_alive` emits
     /// `Connection: keep-alive` when the server will keep serving this
     /// connection, `Connection: close` when it will hang up after the body.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write errors.
-    pub fn write_with_connection(
-        &self,
-        writer: &mut impl Write,
-        keep_alive: bool,
-    ) -> io::Result<()> {
-        write!(
-            writer,
+    #[must_use]
+    pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
+        let mut out = String::with_capacity(self.body.len() + 128);
+        let _ = write!(
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             status_text(self.status),
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
-        )?;
+        );
         if let Some(seconds) = self.retry_after {
-            write!(writer, "Retry-After: {seconds}\r\n")?;
+            let _ = write!(out, "Retry-After: {seconds}\r\n");
         }
-        writer.write_all(b"\r\n")?;
-        writer.write_all(self.body.as_bytes())?;
-        writer.flush()
-    }
-
-    /// The full serialized response as bytes — the reactor's write buffer.
-    #[must_use]
-    pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.body.len() + 128);
-        self.write_with_connection(&mut out, keep_alive)
-            .expect("writing to a Vec cannot fail");
-        out
+        out.push_str("\r\n");
+        out.push_str(&self.body);
+        out.into_bytes()
     }
 }
 
@@ -470,10 +410,14 @@ pub fn status_text(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// Parses one request the way the reactor does: push every byte, take
+    /// the next request, and read a hang-up short of one as
+    /// [`RequestParser::closed`].
     fn parse(input: &[u8]) -> Result<Request, HttpError> {
-        read_request(&mut BufReader::new(input))
+        let mut parser = RequestParser::new();
+        parser.push(input);
+        parser.next_request()?.ok_or_else(|| parser.closed())
     }
 
     #[test]
@@ -694,21 +638,15 @@ mod tests {
 
     #[test]
     fn responses_serialize_with_framing() {
-        let mut out = Vec::new();
-        Response::json(200, "{\"ok\": true}")
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text =
+            String::from_utf8(Response::json(200, "{\"ok\": true}").to_bytes(false)).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 12\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\": true}"));
 
-        let mut out = Vec::new();
-        Response::error(400, "broke \"here\"")
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text =
+            String::from_utf8(Response::error(400, "broke \"here\"").to_bytes(false)).unwrap();
         assert!(text.contains("400 Bad Request"));
         assert!(text.contains("{\"error\": \"broke \\\"here\\\"\"}"));
     }
@@ -751,20 +689,14 @@ mod tests {
 
     #[test]
     fn retry_after_is_emitted_as_a_header() {
-        let mut out = Vec::new();
-        Response::error(503, "overloaded")
-            .with_retry_after(2)
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let overloaded = Response::error(503, "overloaded").with_retry_after(2);
+        let text = String::from_utf8(overloaded.to_bytes(false)).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 2\r\n"), "{text}");
         // The header block still terminates correctly before the body.
         assert!(text.contains("\r\n\r\n{\"error\""), "{text}");
 
-        let mut out = Vec::new();
-        Response::json(200, "{}").write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(Response::json(200, "{}").to_bytes(false)).unwrap();
         assert!(!text.contains("Retry-After"), "{text}");
     }
 }

@@ -59,9 +59,9 @@ pub mod registry;
 pub mod server;
 
 pub use batch::{BatchConfig, BatchedResult, Batcher, SubmitError, DEFAULT_MEMO_CAPACITY};
-pub use http::{read_request, HttpError, Request, RequestParser, Response};
+pub use http::{HttpError, Request, RequestParser, Response};
 pub use json::{Json, NumError};
 pub use metrics::ServerMetrics;
 pub use reactor::{Completion, Handler, Reactor, ReactorConfig};
 pub use registry::{SweepRegistry, SweepState};
-pub use server::{ServeConfig, ServeModel, Server, ServerHandle};
+pub use server::{ServeConfig, Server, ServerHandle};

@@ -5,12 +5,12 @@
 //!
 //! # Model
 //!
-//! A [`Reactor`] owns N worker threads. Accepted connections are admitted
-//! through a connection cap (at the cap: fast `503` + `Retry-After`, the
-//! batch queue's shed discipline extended to the socket layer) and assigned
-//! round-robin. Each worker owns its connections outright — no cross-worker
-//! locking on the request path — and drives every connection through a
-//! small state machine:
+//! A [`Reactor`] owns one worker thread per available core, up to four.
+//! Accepted connections are admitted through a connection cap (at the cap:
+//! fast `503` + `Retry-After`, the batch queue's shed discipline extended
+//! to the socket layer) and assigned round-robin. Each worker owns its
+//! connections outright — no cross-worker locking on the request path —
+//! and drives every connection through a small state machine:
 //!
 //! ```text
 //! Reading ──parse──▶ Dispatched ──response──▶ Writing ──flush──▶ Reading (keep-alive)
@@ -37,12 +37,15 @@
 //! Deadlines: a connection that sits past its read deadline with a partial
 //! request buffered is answered `408 Request Timeout` and closed (slowloris
 //! defense); an idle keep-alive connection with nothing buffered closes
-//! silently. A stalled response write past the write deadline closes the
+//! silently. A response write stalled past [`WRITE_DEADLINE`] closes the
 //! connection.
 //!
-//! Keep-alive is opt-in (`Connection: keep-alive` from the client *and*
-//! [`ReactorConfig::keep_alive`] on): every pre-reactor client reads
-//! responses to EOF and still sees `Connection: close` semantics.
+//! Keep-alive is opt-in per request: a client that sends
+//! `Connection: keep-alive` keeps its connection; any other request is
+//! answered with `Connection: close` and the connection closes after that
+//! one response, so clients that read responses to EOF still see the
+//! stream end. Requests the closing client pipelined behind it are
+//! dropped unanswered.
 
 use crate::http::{Request, RequestParser, Response};
 use crate::metrics::ServerMetrics;
@@ -62,8 +65,8 @@ pub const DEFAULT_MAX_CONNS: usize = 1024;
 /// seconds, not forever.
 pub const DEFAULT_READ_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Default [`ReactorConfig::write_deadline`].
-pub const DEFAULT_WRITE_DEADLINE: Duration = Duration::from_secs(10);
+/// How long a response write may stall before the connection is dropped.
+pub const WRITE_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Socket read granularity per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
@@ -90,46 +93,24 @@ const LONG_PARK: Duration = Duration::from_millis(5);
 const LONG_PARK_AFTER: u32 = 256;
 
 /// Reactor tuning. Zero-valued fields select the documented defaults.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReactorConfig {
-    /// Event-loop worker threads (0 = min(available parallelism, 4)).
-    pub workers: usize,
     /// Connection cap enforced at accept time; above it new connections are
     /// shed with a fast `503` + `Retry-After` (0 = [`DEFAULT_MAX_CONNS`]).
     pub max_conns: usize,
     /// How long a connection may take to deliver a complete request before
     /// the 408/close verdict (zero = [`DEFAULT_READ_DEADLINE`]).
     pub read_deadline: Duration,
-    /// How long a response write may stall before the connection is dropped
-    /// (zero = [`DEFAULT_WRITE_DEADLINE`]).
-    pub write_deadline: Duration,
-    /// Honor client `Connection: keep-alive` requests. Off = every response
-    /// closes, the pre-reactor behavior.
-    pub keep_alive: bool,
 }
 
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig {
-            workers: 0,
-            max_conns: 0,
-            read_deadline: Duration::ZERO,
-            write_deadline: Duration::ZERO,
-            keep_alive: true,
-        }
-    }
+/// Event-loop worker threads: the available parallelism, capped at four.
+fn worker_count() -> usize {
+    std::thread::available_parallelism()
+        .map_or(2, std::num::NonZeroUsize::get)
+        .clamp(1, 4)
 }
 
 impl ReactorConfig {
-    fn effective_workers(&self) -> usize {
-        if self.workers != 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism()
-            .map_or(2, std::num::NonZeroUsize::get)
-            .clamp(1, 4)
-    }
-
     fn effective_max_conns(&self) -> usize {
         if self.max_conns == 0 {
             DEFAULT_MAX_CONNS
@@ -143,14 +124,6 @@ impl ReactorConfig {
             DEFAULT_READ_DEADLINE
         } else {
             self.read_deadline
-        }
-    }
-
-    fn effective_write_deadline(&self) -> Duration {
-        if self.write_deadline.is_zero() {
-            DEFAULT_WRITE_DEADLINE
-        } else {
-            self.write_deadline
         }
     }
 }
@@ -243,7 +216,7 @@ impl Reactor {
         let stop = Arc::new(AtomicBool::new(false));
         let mut workers = Vec::new();
         let mut threads = Vec::new();
-        for i in 0..config.effective_workers() {
+        for i in 0..worker_count() {
             let shared = Arc::new(WorkerShared::default());
             let mut worker = Worker {
                 shared: Arc::clone(&shared),
@@ -251,8 +224,6 @@ impl Reactor {
                 metrics: Arc::clone(&metrics),
                 stop: Arc::clone(&stop),
                 read_deadline: config.effective_read_deadline(),
-                write_deadline: config.effective_write_deadline(),
-                keep_alive: config.keep_alive,
                 conns: Vec::new(),
             };
             let thread = std::thread::Builder::new()
@@ -394,8 +365,6 @@ struct Worker {
     metrics: Arc<ServerMetrics>,
     stop: Arc<AtomicBool>,
     read_deadline: Duration,
-    write_deadline: Duration,
-    keep_alive: bool,
     conns: Vec<Conn>,
 }
 
@@ -583,7 +552,7 @@ impl Worker {
         if conn.served > 0 {
             ServerMetrics::incr(&self.metrics.keepalive_reuses);
         }
-        conn.cur_keep_alive = self.keep_alive && request.wants_keep_alive();
+        conn.cur_keep_alive = request.wants_keep_alive();
         conn.req_started = now;
         let slot = Arc::new(ResponseSlot::default());
         conn.slot = Some(Arc::clone(&slot));
@@ -662,7 +631,7 @@ impl Worker {
         let conn = &mut self.conns[idx];
         conn.out.extend_from_slice(&response.to_bytes(keep_alive));
         conn.keep_alive_after_write = keep_alive;
-        conn.deadline = now + self.write_deadline;
+        conn.deadline = now + WRITE_DEADLINE;
         conn.state = State::Writing;
         self.metrics.observe_latency(conn.req_started.elapsed());
         conn.served += 1;

@@ -15,21 +15,20 @@
 //! | POST   | `/fleet/dispatch` | a job shard   | `sigcomp-fleet v1` report (cache entries + obs) |
 //! | GET    | `/fleet`    | —                   | worker-pool status + merged worker obs |
 //!
-//! Connections are served by the nonblocking [`crate::reactor`] by default
-//! ([`ServeModel::Reactor`]): a fixed worker pool drives per-connection
-//! state machines with HTTP/1.1 keep-alive, pipelining, read/write
-//! deadlines, and an accept-gate connection cap. Cheap routes (health,
-//! metrics, fleet registration, ticket polls, and memoized `/simulate`
-//! hits) are answered inline on the event-loop worker; simulation-bound
-//! routes are offloaded to a small dispatch pool so the event loop never
-//! blocks — the real work stays serialized through the [`Batcher`]'s
-//! dispatcher exactly as before. The pre-reactor thread-per-connection
-//! model survives as [`ServeModel::ThreadPerConn`], kept as the measured
-//! baseline for the saturation bench.
+//! Every connection is served by the nonblocking [`crate::reactor`]: a
+//! fixed worker pool drives per-connection state machines with HTTP/1.1
+//! keep-alive, pipelining, read/write deadlines, and an accept-gate
+//! connection cap. Cheap routes (health, metrics, fleet registration,
+//! ticket polls, and memoized `/simulate` hits) are answered inline on the
+//! event-loop worker; simulation-bound routes go to a fixed dispatch pool
+//! so the event loop never blocks, while the real work stays serialized
+//! through the [`Batcher`]'s dispatcher. The only knobs are the ones a
+//! caller sets: the listen address, the batcher, ticket retention, the
+//! connection cap and the read deadline ([`ServeConfig`]).
 
 use crate::api::{job_spec_from_json, simulate_response, sweep_result_json, sweep_spec_from_json};
 use crate::batch::{BatchConfig, Batcher, SubmitError};
-use crate::http::{read_request, HttpError, Request, Response};
+use crate::http::{Request, Response};
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::reactor::{Completion, Handler, Reactor, ReactorConfig};
@@ -39,77 +38,21 @@ use sigcomp_explore::JobOutcome;
 use sigcomp_fabric::pool::{self, DEFAULT_LIVENESS_TTL};
 use sigcomp_fabric::proto::{self, DispatchOutcome};
 use std::collections::VecDeque;
-use std::io::{self, BufReader};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a legacy-model connection may dally sending its request or
-/// draining the response before the server gives up on it.
-const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
+/// Size of the dispatch pool — the threads that run simulation-bound
+/// routes (`/simulate` misses, sync `/sweep`, `/fleet/dispatch`) so the
+/// event loop never blocks.
+const DISPATCH_THREADS: usize = 16;
 
-/// Upper bound on concurrently-handled connections in the legacy
-/// thread-per-connection model. At the cap the accept loop stops
-/// accepting, so further clients queue in the kernel backlog instead of
-/// spawning unbounded threads. (The reactor model sheds at its own
-/// [`ServeConfig::max_conns`] cap with a fast `503` instead.)
-const MAX_CONNECTIONS: usize = 256;
-
-/// Default size of the reactor's dispatch pool — the threads that run
-/// simulation-bound routes (`/simulate` misses, sync `/sweep`,
-/// `/fleet/dispatch`) so the event loop never blocks.
-const DEFAULT_DISPATCH_THREADS: usize = 16;
-
-/// A counting gate for in-flight legacy connections: `acquire` blocks the
-/// accept loop at [`MAX_CONNECTIONS`]; the returned guard releases on drop
-/// (even if the connection handler panics).
+/// Server configuration. Zero-valued fields select the documented
+/// defaults.
 #[derive(Debug, Default)]
-struct ConnGate {
-    count: Mutex<usize>,
-    changed: Condvar,
-}
-
-impl ConnGate {
-    fn acquire(self: &Arc<Self>) -> ConnPermit {
-        let mut count = self.count.lock().expect("gate poisoned");
-        while *count >= MAX_CONNECTIONS {
-            count = self.changed.wait(count).expect("gate poisoned");
-        }
-        *count += 1;
-        ConnPermit {
-            gate: Arc::clone(self),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct ConnPermit {
-    gate: Arc<ConnGate>,
-}
-
-impl Drop for ConnPermit {
-    fn drop(&mut self) {
-        *self.gate.count.lock().expect("gate poisoned") -= 1;
-        self.gate.changed.notify_one();
-    }
-}
-
-/// Which connection-handling model the server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeModel {
-    /// The nonblocking event loop: keep-alive, pipelining, deadlines,
-    /// socket-layer admission control.
-    #[default]
-    Reactor,
-    /// The pre-reactor blocking model: one thread per connection, one
-    /// request per connection. Kept as the saturation bench's baseline.
-    ThreadPerConn,
-}
-
-/// Server configuration.
-#[derive(Debug)]
 pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7878` (port `0` picks a free port).
     /// Empty string defaults to `127.0.0.1:7878`.
@@ -123,8 +66,6 @@ pub struct ServeConfig {
     /// before oldest-first eviction
     /// (0 = [`crate::registry::MAX_FINISHED_TICKETS`]).
     pub finished_tickets: usize,
-    /// Connection-handling model (default [`ServeModel::Reactor`]).
-    pub model: ServeModel,
     /// Reactor connection cap; above it new connections are shed with a
     /// fast `503` + `Retry-After`
     /// (0 = [`crate::reactor::DEFAULT_MAX_CONNS`]).
@@ -133,30 +74,6 @@ pub struct ServeConfig {
     /// this is answered `408` and closed
     /// (zero = [`crate::reactor::DEFAULT_READ_DEADLINE`]).
     pub read_deadline: Duration,
-    /// Honor client `Connection: keep-alive` (reactor model only; default
-    /// on). Off reproduces the close-per-request behavior exactly.
-    pub keep_alive: bool,
-    /// Reactor event-loop worker threads (0 = min(parallelism, 4)).
-    pub reactor_workers: usize,
-    /// Dispatch-pool threads for simulation-bound routes
-    /// (0 = `DEFAULT_DISPATCH_THREADS`, 16).
-    pub dispatch_threads: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            addr: String::new(),
-            batch: BatchConfig::default(),
-            finished_tickets: 0,
-            model: ServeModel::Reactor,
-            max_conns: 0,
-            read_deadline: Duration::ZERO,
-            keep_alive: true,
-            reactor_workers: 0,
-            dispatch_threads: 0,
-        }
-    }
 }
 
 /// Everything the request handlers share.
@@ -173,9 +90,7 @@ struct Ctx {
 pub struct Server {
     listener: TcpListener,
     ctx: Arc<Ctx>,
-    model: ServeModel,
     reactor_config: ReactorConfig,
-    dispatch_threads: usize,
 }
 
 impl Server {
@@ -216,18 +131,9 @@ impl Server {
         Ok(Server {
             listener,
             ctx,
-            model: config.model,
             reactor_config: ReactorConfig {
-                workers: config.reactor_workers,
                 max_conns: config.max_conns,
                 read_deadline: config.read_deadline,
-                write_deadline: Duration::ZERO,
-                keep_alive: config.keep_alive,
-            },
-            dispatch_threads: if config.dispatch_threads == 0 {
-                DEFAULT_DISPATCH_THREADS
-            } else {
-                config.dispatch_threads
             },
         })
     }
@@ -276,32 +182,27 @@ impl Server {
     }
 
     fn serve(self, stop: &Arc<AtomicBool>) -> io::Result<()> {
-        match self.model {
-            ServeModel::Reactor => {
-                let pool = DispatchPool::start(Arc::clone(&self.ctx), self.dispatch_threads);
-                let handler: Arc<dyn Handler> = Arc::new(ServeHandler {
-                    ctx: Arc::clone(&self.ctx),
-                    pool: Arc::clone(&pool.queue),
-                });
-                let mut reactor =
-                    Reactor::start(&self.reactor_config, handler, Arc::clone(&self.ctx.metrics));
-                let result = loop {
-                    let (stream, _) = match self.listener.accept() {
-                        Ok(accepted) => accepted,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => break Err(e),
-                    };
-                    if stop.load(Ordering::SeqCst) {
-                        break Ok(());
-                    }
-                    reactor.accept(stream);
-                };
-                reactor.shutdown();
-                pool.shutdown();
-                result
+        let pool = DispatchPool::start(&self.ctx);
+        let handler: Arc<dyn Handler> = Arc::new(ServeHandler {
+            ctx: Arc::clone(&self.ctx),
+            pool: Arc::clone(&pool.queue),
+        });
+        let mut reactor =
+            Reactor::start(&self.reactor_config, handler, Arc::clone(&self.ctx.metrics));
+        let result = loop {
+            let (stream, _) = match self.listener.accept() {
+                Ok(accepted) => accepted,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => break Err(e),
+            };
+            if stop.load(Ordering::SeqCst) {
+                break Ok(());
             }
-            ServeModel::ThreadPerConn => accept_loop_threaded(&self.listener, &self.ctx, stop),
-        }
+            reactor.accept(stream);
+        };
+        reactor.shutdown();
+        pool.shutdown();
+        result
     }
 }
 
@@ -374,19 +275,18 @@ impl DispatchQueue {
 }
 
 /// A fixed pool of threads running the simulation-bound routes. Threads
-/// are detached on shutdown (mirroring the legacy model's detached
-/// connection threads): they finish their in-flight request and exit.
+/// are detached on shutdown: they finish their in-flight request and exit.
 #[derive(Debug)]
 struct DispatchPool {
     queue: Arc<DispatchQueue>,
 }
 
 impl DispatchPool {
-    fn start(ctx: Arc<Ctx>, threads: usize) -> DispatchPool {
+    fn start(ctx: &Arc<Ctx>) -> DispatchPool {
         let queue = Arc::new(DispatchQueue::default());
-        for i in 0..threads.max(1) {
+        for i in 0..DISPATCH_THREADS {
             let queue = Arc::clone(&queue);
-            let ctx = Arc::clone(&ctx);
+            let ctx = Arc::clone(ctx);
             let spawned = std::thread::Builder::new()
                 .name(format!("sigcomp-serve-dispatch-{i}"))
                 .spawn(move || loop {
@@ -463,73 +363,6 @@ fn fast_route(ctx: &Arc<Ctx>, request: &Request) -> Option<Response> {
         // heartbeats, ticket polls, 404/405 — is a lock-light lookup.
         _ => Some(route(ctx, request)),
     }
-}
-
-// ---------------------------------------------------------------------------
-// The legacy thread-per-connection model (ServeModel::ThreadPerConn): one
-// blocking thread and one request per connection. This is the measured
-// baseline the saturation bench compares the reactor against.
-
-fn accept_loop_threaded(
-    listener: &TcpListener,
-    ctx: &Arc<Ctx>,
-    stop: &Arc<AtomicBool>,
-) -> io::Result<()> {
-    let gate = Arc::new(ConnGate::default());
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(accepted) => accepted,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        // One thread per connection, bounded by the gate: connections are
-        // short-lived (one request each) and the expensive part is
-        // serialized through the batcher anyway. Blocking here at the cap
-        // pushes further clients into the kernel backlog.
-        let permit = gate.acquire();
-        let ctx = Arc::clone(ctx);
-        let spawned = std::thread::Builder::new()
-            .name("sigcomp-serve-conn".into())
-            .spawn(move || {
-                let _permit = permit;
-                handle_connection(stream, &ctx);
-            });
-        if let Err(e) = spawned {
-            // Out of threads: the closure (and with it the stream and the
-            // permit) is dropped, so the client sees a prompt connection
-            // reset instead of a timeout; log the cause server-side.
-            eprintln!("sigcomp-serve: could not spawn a connection thread: {e}");
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, ctx: &Arc<Ctx>) {
-    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-    let started = Instant::now();
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let response = match read_request(&mut reader) {
-        Ok(request) => route(ctx, &request),
-        // The peer connected and went away (e.g. a health probe or the
-        // shutdown wake-up): nothing to answer, nothing to count.
-        Err(HttpError::Closed) => return,
-        Err(e) => Response::error(e.status(), &e.to_string()),
-    };
-    ServerMetrics::incr(&ctx.metrics.http_requests);
-    match response.status {
-        200..=299 => ServerMetrics::incr(&ctx.metrics.http_2xx),
-        400..=499 => ServerMetrics::incr(&ctx.metrics.http_4xx),
-        _ => ServerMetrics::incr(&ctx.metrics.http_5xx),
-    }
-    let mut stream = stream;
-    let _ = response.write_to(&mut stream);
-    ctx.metrics.observe_latency(started.elapsed());
 }
 
 /// Maps one request to one response. Pure routing — no socket I/O — so the
@@ -707,7 +540,7 @@ fn submit_error_response(ctx: &Ctx, e: SubmitError) -> Response {
     match e {
         SubmitError::ShuttingDown => Response::error(503, &e.to_string()),
         // Shed, don't stall: the queue is full, so tell the client when to
-        // come back instead of tying up a connection thread. The hint
+        // come back instead of tying up a dispatch thread. The hint
         // tracks the backlog actually queued ahead of the retry.
         SubmitError::Overloaded => {
             Response::error(503, &e.to_string()).with_retry_after(ctx.batcher.retry_after_hint())

@@ -1,8 +1,8 @@
 //! End-to-end exercise of the reactor front door over real loopback
 //! sockets: the failure modes the nonblocking event loop exists to handle
-//! — slowloris trickles, keep-alive reuse, pipelined batches, arbitrary
-//! TCP segmentation, and admission control at the connection cap — each
-//! pinned against a live server with its `/metrics` accounting.
+//! — slowloris trickles, keep-alive reuse, close-per-request, pipelined
+//! batches, arbitrary TCP segmentation, and admission control at the
+//! connection cap — each pinned against a live server.
 
 use sigcomp_fabric::HttpClient;
 use sigcomp_serve::{BatchConfig, Json, ServeConfig, Server, ServerHandle};
@@ -330,5 +330,27 @@ fn a_fleet_client_rides_one_pooled_connection_end_to_end() {
         Some(5),
         "five requests after the first = five reuses"
     );
+    server.shutdown();
+}
+
+#[test]
+fn a_client_without_keep_alive_gets_one_response_then_eof() {
+    // Close-per-request is what a client that sends no `Connection` header
+    // gets: one response marked `Connection: close`, then end of stream. A
+    // second request pipelined behind the first is never answered.
+    let server = start_server(ServeConfig::default());
+    let addr = server.addr();
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let one = "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n";
+    // One write, so both requests reach the server in the same read.
+    stream
+        .write_all(format!("{one}{one}").as_bytes())
+        .expect("send two requests");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read to EOF");
+    assert_eq!(raw.matches("HTTP/1.1 ").count(), 1, "one response: {raw}");
+    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+    assert!(raw.contains("\r\nConnection: close\r\n"), "{raw}");
     server.shutdown();
 }
