@@ -3,7 +3,7 @@
 //! (Tables 5 and 6 of the paper).
 
 use crate::activity::{ActivityReport, StageActivity};
-use crate::cost::{instr_cost, InstrCost};
+use crate::cost::{instr_cost, step_memory, InstrCost};
 use crate::dcache::DCacheActivity;
 use crate::ext::{significant_bytes, ExtScheme};
 use crate::ifetch::{FetchActivity, FunctRecoder};
@@ -11,7 +11,7 @@ use crate::pc::{PcActivity, PC_BITS};
 use crate::regfile::RegFileActivity;
 use crate::stats::SigStats;
 use sigcomp_isa::ExecRecord;
-use sigcomp_mem::{AccessKind, HierarchyConfig, HierarchyStats, MemoryHierarchy};
+use sigcomp_mem::{HierarchyConfig, HierarchyStats, MemStep, MemoryHierarchy};
 
 /// Configuration of the activity study.
 #[derive(Debug, Clone)]
@@ -127,7 +127,10 @@ impl GateCounter {
 #[derive(Debug, Clone)]
 pub struct TraceAnalyzer {
     config: AnalyzerConfig,
-    hierarchy: MemoryHierarchy,
+    /// The analyzer's own hierarchy, walked by [`TraceAnalyzer::observe`];
+    /// `None` when the caller walks a shared one and feeds
+    /// [`TraceAnalyzer::observe_step`].
+    hierarchy: Option<MemoryHierarchy>,
     fetch: FetchActivity,
     regfile: RegFileActivity,
     alu: StageActivity,
@@ -147,6 +150,18 @@ impl TraceAnalyzer {
     #[must_use]
     pub fn new(config: AnalyzerConfig) -> Self {
         let hierarchy = MemoryHierarchy::new(&config.hierarchy);
+        Self::build(config, Some(hierarchy))
+    }
+
+    /// Creates an analyzer that owns no memory hierarchy: its caller walks
+    /// one (built from `config.hierarchy`) and passes each record's outcomes
+    /// to [`TraceAnalyzer::observe_step`].
+    #[must_use]
+    pub fn without_hierarchy(config: AnalyzerConfig) -> Self {
+        Self::build(config, None)
+    }
+
+    fn build(config: AnalyzerConfig, hierarchy: Option<MemoryHierarchy>) -> Self {
         let dcache = DCacheActivity::new(config.scheme, &config.hierarchy.dl1);
         TraceAnalyzer {
             fetch: FetchActivity::new(),
@@ -183,11 +198,28 @@ impl TraceAnalyzer {
     /// to distil the record once instead of once per model. The cost must
     /// come from `instr_cost(rec, ...)` under this analyzer's scheme and
     /// recoder, or the activity accounting is meaningless.
+    ///
+    /// # Panics
+    ///
+    /// On an analyzer built [`without_hierarchy`](Self::without_hierarchy).
     pub fn observe_with_cost(&mut self, rec: &ExecRecord, cost: &InstrCost) {
+        let hierarchy = self
+            .hierarchy
+            .as_mut()
+            .expect("an analyzer without a hierarchy is fed through observe_step");
+        let step = step_memory(hierarchy, rec);
+        self.observe_step(rec, cost, &step);
+    }
+
+    /// The per-record core of the activity study: one instruction with its
+    /// [`InstrCost`] and its memory outcomes ([`step_memory`] over a
+    /// hierarchy built from this analyzer's `config.hierarchy`). Neither
+    /// input depends on the pipeline organization, so a caller replaying one
+    /// stream into several timing models computes both once and shares them.
+    pub fn observe_step(&mut self, rec: &ExecRecord, cost: &InstrCost, step: &MemStep) {
         self.stats.observe(rec);
 
         // ---- instruction fetch (I-cache data array + I-TLB) ----------------
-        self.hierarchy.fetch_instruction(rec.pc);
         self.fetch.observe(&cost.fetch);
         self.fetch_gate
             .occupy(u64::from(cost.fetch.fetch_bytes), WORD_LANES);
@@ -230,24 +262,18 @@ impl TraceAnalyzer {
 
         // ---- data cache ------------------------------------------------------
         if let Some(mem) = rec.mem {
-            let kind = if mem.is_store {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            let result = self.hierarchy.data_access(mem.addr, kind);
             self.dcache.access(mem.value, mem.width);
             if let Some(m) = cost.mem {
                 self.dcache_gate
                     .occupy(u64::from(m.sig_bytes), u64::from(m.width_bytes));
             }
-            if result.l1_fill.is_some() {
+            if step.data.is_some_and(|d| d.l1_fill.is_some()) {
                 // A line fill regenerates extension bits for every word of
-                // the 32-byte line. The analyzer does not track line
+                // the D-cache line. The analyzer does not track line
                 // contents, so the accessed word's value stands in for its
                 // neighbours (documented approximation; fills are a small
                 // fraction of accesses at the paper's miss rates).
-                let words = u64::from(self.hierarchy.l1_line_bytes() / 4);
+                let words = u64::from(self.config.hierarchy.dl1.line_bytes / 4);
                 let fill_sig = u64::from(significant_bytes(mem.value, self.config.scheme));
                 self.dcache.fill_line(mem.value, words);
                 self.dcache_gate
@@ -343,10 +369,15 @@ impl TraceAnalyzer {
         self.fetch.mean_fetch_bytes()
     }
 
-    /// Memory-hierarchy counters accumulated while analyzing.
+    /// Memory-hierarchy counters accumulated while analyzing; all zero for
+    /// an analyzer built [`without_hierarchy`](Self::without_hierarchy)
+    /// (its caller owns the counters).
     #[must_use]
     pub fn hierarchy_stats(&self) -> HierarchyStats {
-        self.hierarchy.stats()
+        self.hierarchy
+            .as_ref()
+            .map(MemoryHierarchy::stats)
+            .unwrap_or_default()
     }
 }
 
@@ -422,6 +453,48 @@ mod tests {
         assert!(h.il1.accesses > 10_000);
         assert!(h.dl1.accesses > 3_000);
         assert!(h.dl1.miss_rate() < 0.2);
+    }
+
+    #[test]
+    fn dcache_line_fills_use_the_data_cache_line_size() {
+        // One cold store under a hierarchy whose I- and D-cache lines differ:
+        // the fill must regenerate extension bits for a whole 64-byte D-cache
+        // line (16 words), not a 16-byte I-cache line (4 words).
+        let mut config = AnalyzerConfig::paper_byte();
+        config.hierarchy.il1.line_bytes = 16;
+        config.hierarchy.dl1.line_bytes = 64;
+        let store = |b: &mut ProgramBuilder| {
+            b.dlabel("buf");
+            b.space(64);
+            b.la(reg::A0, "buf");
+            b.li(reg::T0, 0x1234_5678);
+            b.sw(reg::T0, reg::A0, 0);
+            b.halt();
+        };
+        let report = analyze(store, config).report();
+        // The store itself occupies 4 lanes; the fill 4 lanes × 16 words.
+        assert_eq!(report.dcache_data.total_byte_cycles, 4 + 4 * 16);
+    }
+
+    #[test]
+    fn shared_hierarchy_replay_matches_the_standalone_analyzer() {
+        let mut b = ProgramBuilder::new();
+        counter_loop(&mut b);
+        let trace = Interpreter::new(&b.assemble().unwrap())
+            .run(2_000_000)
+            .unwrap();
+        let config = AnalyzerConfig::paper_halfword();
+        let mut standalone = TraceAnalyzer::new(config.clone());
+        let mut detached = TraceAnalyzer::without_hierarchy(config.clone());
+        let mut shared = MemoryHierarchy::new(&config.hierarchy);
+        for rec in &trace {
+            let cost = instr_cost(rec, config.scheme, &config.recoder);
+            standalone.observe_with_cost(rec, &cost);
+            detached.observe_step(rec, &cost, &step_memory(&mut shared, rec));
+        }
+        assert_eq!(standalone.report(), detached.report());
+        assert_eq!(standalone.hierarchy_stats(), shared.stats());
+        assert_eq!(detached.hierarchy_stats(), HierarchyStats::default());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Per-instruction significance costs.
+//! Per-instruction significance costs and memory outcomes.
 //!
 //! [`instr_cost`] distils one retired instruction into the quantities every
 //! downstream model needs: how many bytes must be fetched, read from the
@@ -6,11 +6,15 @@
 //! written back. The trace-driven activity study ([`crate::analyzer`]) sums
 //! these costs into Tables 5/6; the pipeline timing models in
 //! `sigcomp-pipeline` turn the same costs into per-stage cycle counts.
+//! [`step_memory`] is the record's other organization-independent input:
+//! its cache and TLB outcomes. A caller that replays one stream into many
+//! models computes both once per record and hands them to every model.
 
 use crate::alu::{self, AluOutcome, LogicOp, ShiftOp};
 use crate::ext::{significant_bytes, significant_bytes_x4, ExtScheme};
 use crate::ifetch::{compress_instruction, CompressedInstr, FunctRecoder};
 use sigcomp_isa::{ExecRecord, Op};
+use sigcomp_mem::{AccessKind, MemStep, MemoryHierarchy};
 
 /// Significance cost of a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,6 +230,21 @@ fn alu_outcome(rec: &ExecRecord, scheme: ExtScheme) -> Option<AluOutcome> {
         AluUse::Unused => return None,
     };
     Some(outcome)
+}
+
+/// Walks `hierarchy` through one retired instruction's accesses in program
+/// order: the fetch of its PC, then its load or store (if any).
+pub fn step_memory(hierarchy: &mut MemoryHierarchy, rec: &ExecRecord) -> MemStep {
+    let fetch = hierarchy.fetch_instruction(rec.pc);
+    let data = rec.mem.map(|mem| {
+        let kind = if mem.is_store {
+            AccessKind::Store
+        } else {
+            AccessKind::Load
+        };
+        hierarchy.data_access(mem.addr, kind)
+    });
+    MemStep { fetch, data }
 }
 
 /// Computes the per-instruction significance cost vector for one retired

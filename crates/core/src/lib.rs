@@ -76,7 +76,7 @@ pub mod stats;
 
 pub use activity::{ActivityReport, EnergyModel, ProcessNode, StageActivity};
 pub use analyzer::{AnalyzerConfig, TraceAnalyzer};
-pub use cost::{instr_cost, InstrCost, MemCost};
+pub use cost::{instr_cost, step_memory, InstrCost, MemCost};
 pub use ext::{CompressedWord, ExtScheme, SigPattern};
 pub use hash::{ConfigHash, StableHasher};
 pub use ifetch::FunctRecoder;

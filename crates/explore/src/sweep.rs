@@ -1,12 +1,16 @@
-//! Running a sweep: per-job simulation, sharded accumulation, caching, and
+//! Running a sweep: fused replay passes, sharded accumulation, caching, and
 //! dispatch onto the configured execution backend.
 
 use crate::backend::{ExecBackend, ExecError};
 use crate::cache::ResultCache;
 use crate::executor::run_parallel;
+use crate::spec::MemProfile;
 use crate::spec::{JobSpec, SweepSpec, TraceInput, TraceSource};
-use sigcomp::{ActivityReport, EnergyModel, StageActivity, TraceAnalyzer};
+use sigcomp::{
+    instr_cost, step_memory, ActivityReport, EnergyModel, ExtScheme, StageActivity, TraceAnalyzer,
+};
 use sigcomp_isa::{DecodedTrace, ExecRecord, Trace};
+use sigcomp_mem::MemoryHierarchy;
 use sigcomp_pipeline::{OrgKind, Organization, PipelineSim, SimResult, Stage};
 use sigcomp_workloads::{find, Benchmark, WorkloadSize};
 use std::collections::HashMap;
@@ -176,9 +180,10 @@ pub struct SweepSummary {
     pub outcomes: Vec<JobOutcome>,
     /// The worker shards folded together in worker order.
     pub totals: SweepShard,
-    /// `(jobs, steals)` per worker, in worker order. On the subprocess
-    /// backend a "worker" is one shard process (steals are always 0 there —
-    /// the shard partition is static).
+    /// `(jobs, steals)` per worker, in worker order. Jobs count every job a
+    /// worker answered; steals count the replay passes it took from a
+    /// sibling's queue. On the subprocess backend a "worker" is one shard
+    /// process (steals are always 0 there — the shard partition is static).
     pub worker_loads: Vec<(u64, u64)>,
     /// Worker threads (local backend) or shard processes (subprocess
     /// backend) actually used.
@@ -221,11 +226,7 @@ impl SweepSummary {
 /// condition).
 #[must_use]
 pub fn simulate_job(spec: &JobSpec, benchmark: &Benchmark) -> JobMetrics {
-    let mut models = JobModels::new(spec);
-    benchmark
-        .run_each(|rec| models.observe(rec))
-        .unwrap_or_else(|e| panic!("kernel {} failed: {e}", benchmark.name()));
-    models.finish()
+    simulate_one(spec, Stream::Live(benchmark))
 }
 
 /// Simulates one design point against a recorded trace: the records are
@@ -233,11 +234,7 @@ pub fn simulate_job(spec: &JobSpec, benchmark: &Benchmark) -> JobMetrics {
 /// so the resulting metrics are bit-identical to the run that recorded them.
 #[must_use]
 pub fn simulate_trace(spec: &JobSpec, trace: &Trace) -> JobMetrics {
-    let mut models = JobModels::new(spec);
-    for rec in trace {
-        models.observe(rec);
-    }
-    models.finish()
+    simulate_one(spec, Stream::Records(trace))
 }
 
 /// [`simulate_trace`] over a decode-once arena: the records come out of the
@@ -245,59 +242,110 @@ pub fn simulate_trace(spec: &JobSpec, trace: &Trace) -> JobMetrics {
 /// same records in the same order, so the metrics are bit-identical.
 #[must_use]
 pub fn simulate_decoded(spec: &JobSpec, trace: &DecodedTrace) -> JobMetrics {
-    let mut models = JobModels::new(spec);
-    for rec in trace.iter() {
-        models.observe(&rec);
-    }
-    models.finish()
+    simulate_one(spec, Stream::Arena(trace))
 }
 
-/// The model stack one job drives — a single stream of [`ExecRecord`]s feeds
-/// both the cycle-level timing simulator and the activity study, whether the
-/// stream comes from a live interpreter or a replayed file.
-struct JobModels {
-    org: Organization,
-    sim: PipelineSim,
-    analyzer: TraceAnalyzer,
+fn simulate_one(spec: &JobSpec, stream: Stream<'_>) -> JobMetrics {
+    simulate_group(std::slice::from_ref(spec), stream)
+        .pop()
+        .expect("a one-job pass yields one result")
 }
 
-impl JobModels {
-    fn new(spec: &JobSpec) -> Self {
-        let hierarchy = spec.mem.hierarchy();
-        let config = spec.analyzer_config();
-        let recoder = config.recoder.clone();
-        let org = spec.organization();
-        JobModels {
-            sim: PipelineSim::with_config(org.clone(), &hierarchy, recoder),
-            org,
-            analyzer: TraceAnalyzer::new(config),
+/// Where a replay pass's records come from.
+#[derive(Clone, Copy)]
+enum Stream<'a> {
+    /// A kernel executed live by the interpreter.
+    Live(&'a Benchmark),
+    /// A decode-once arena.
+    Arena(&'a DecodedTrace),
+    /// An in-memory record vector.
+    Records(&'a Trace),
+}
+
+impl Stream<'_> {
+    fn for_each(self, mut f: impl FnMut(&ExecRecord)) {
+        match self {
+            Stream::Live(benchmark) => benchmark
+                .run_each(f)
+                .unwrap_or_else(|e| panic!("kernel {} failed: {e}", benchmark.name())),
+            Stream::Arena(trace) => trace.iter().for_each(|rec| f(&rec)),
+            Stream::Records(trace) => trace.iter().for_each(f),
         }
     }
+}
 
-    fn observe(&mut self, rec: &ExecRecord) {
-        // Both models run under the same scheme and recoder (they come from
-        // the same JobSpec), so the record is distilled into its cost vector
-        // once and shared instead of once per model.
-        let config = self.analyzer.config();
-        let cost = sigcomp::cost::instr_cost(rec, config.scheme, &config.recoder);
-        self.sim.observe_with_cost(rec, &cost);
-        self.analyzer.observe_with_cost(rec, &cost);
-    }
+/// What one replay pass shares between its jobs: the instruction stream,
+/// the scheme and the memory profile. A job's analyzer configuration is a
+/// function of its scheme and profile, so the members of a pass differ only
+/// in their organization.
+#[derive(PartialEq, Eq, Hash)]
+struct PassKey {
+    stream: StreamId,
+    scheme: ExtScheme,
+    mem: MemProfile,
+}
 
-    fn finish(self) -> JobMetrics {
-        let mut activity = self.analyzer.report();
-        let result = self.sim.finish();
-        apply_pipeline_gating(&mut activity, &self.org, &result);
-        JobMetrics {
-            instructions: result.instructions,
-            cycles: result.cycles,
-            branches: result.branches,
-            stall_structural: result.stalls.structural.iter().sum(),
-            stall_data_hazard: result.stalls.data_hazard,
-            stall_control: result.stalls.control,
-            activity,
+#[derive(PartialEq, Eq, Hash)]
+enum StreamId {
+    Kernel(&'static str, WorkloadSize),
+    File(u64),
+}
+
+impl PassKey {
+    fn of(job: &JobSpec) -> Self {
+        PassKey {
+            stream: match job.source {
+                TraceSource::Kernel => StreamId::Kernel(job.workload, job.size),
+                TraceSource::File { digest } => StreamId::File(digest),
+            },
+            scheme: job.scheme,
+            mem: job.mem,
         }
     }
+}
+
+/// Simulates `jobs` — design points sharing one [`PassKey`] — in a single
+/// pass over `stream`. Each record is distilled once into its cost and its
+/// memory outcomes (one shared hierarchy walk) and observed once by the
+/// organization-independent activity study; only the timing models are
+/// per job. Every job's metrics are bit-identical to a pass of its own.
+fn simulate_group(jobs: &[JobSpec], stream: Stream<'_>) -> Vec<JobMetrics> {
+    let config = jobs[0].analyzer_config();
+    debug_assert!(jobs
+        .iter()
+        .all(|job| job.scheme == config.scheme && job.mem == jobs[0].mem));
+    let mut hierarchy = MemoryHierarchy::new(&config.hierarchy);
+    let mut analyzer = TraceAnalyzer::without_hierarchy(config.clone());
+    let mut sims: Vec<PipelineSim> = jobs
+        .iter()
+        .map(|job| PipelineSim::without_hierarchy(job.organization()))
+        .collect();
+    stream.for_each(|rec| {
+        let cost = instr_cost(rec, config.scheme, &config.recoder);
+        let step = step_memory(&mut hierarchy, rec);
+        analyzer.observe_step(rec, &cost, &step);
+        for sim in &mut sims {
+            sim.observe_step(rec, &cost, &step);
+        }
+    });
+    let shared = analyzer.report();
+    sims.into_iter()
+        .map(|sim| {
+            let org = sim.organization().clone();
+            let result = sim.finish();
+            let mut activity = shared;
+            apply_pipeline_gating(&mut activity, &org, &result);
+            JobMetrics {
+                instructions: result.instructions,
+                cycles: result.cycles,
+                branches: result.branches,
+                stall_structural: result.stalls.structural.iter().sum(),
+                stall_data_hazard: result.stalls.data_hazard,
+                stall_control: result.stalls.control,
+                activity,
+            }
+        })
+        .collect()
 }
 
 /// Replaces the gated-lane occupancy of the datapath columns with the timed
@@ -441,18 +489,24 @@ pub fn run_jobs_traced(
         .unwrap_or_else(|e| panic!("job execution failed: {e}"))
 }
 
-/// The [`ExecBackend::LocalThreads`] engine: every job on the in-process
-/// work-stealing executor, results reassembled in job order.
+/// The [`ExecBackend::LocalThreads`] engine: jobs bucketed into replay
+/// passes ([`PassKey`]), every pass on the in-process work-stealing
+/// executor, results reassembled in job order.
+///
+/// A pass answers its cache hits first and simulates the rest in one walk of
+/// its stream. Which jobs share a pass never changes a result, so outcomes
+/// are bit-identical to one job at a time.
 pub(crate) fn run_jobs_local(
     jobs: &[JobSpec],
     traces: &[TraceInput],
     options: &SweepOptions,
 ) -> SweepSummary {
+    let passes = plan_passes(jobs, options.effective_workers());
     // Mirror the executor's clamp so the summary reports the worker count
     // actually used.
-    let workers = options.effective_workers().min(jobs.len().max(1));
+    let workers = options.effective_workers().min(passes.len().max(1));
 
-    // Each (workload, size) is assembled at most once, shared by every job
+    // Each (workload, size) is assembled at most once, shared by every pass
     // that needs it — and not at all when all of its jobs hit the cache.
     let mut benchmarks: HashMap<(&'static str, WorkloadSize), OnceLock<Benchmark>> = HashMap::new();
     for job in jobs {
@@ -462,8 +516,24 @@ pub(crate) fn run_jobs_local(
     }
     let traces_by_digest: HashMap<u64, &TraceInput> =
         traces.iter().map(|t| (t.digest(), t)).collect();
+    let stream_of = |job: &JobSpec| match job.source {
+        TraceSource::Kernel => {
+            Stream::Live(benchmarks[&(job.workload, job.size)].get_or_init(|| {
+                find(job.workload, job.size)
+                    .unwrap_or_else(|| panic!("unknown workload {}", job.workload))
+            }))
+        }
+        TraceSource::File { digest } => Stream::Arena(
+            traces_by_digest
+                .get(&digest)
+                .unwrap_or_else(|| {
+                    panic!("no trace with digest {digest:016x} for job {}", job.label())
+                })
+                .decoded(),
+        ),
+    };
 
-    // Handles are fetched once; the per-job hot path below records through
+    // Handles are fetched once; the per-pass hot path below records through
     // them lock-free.
     let obs = sigcomp_obs::global();
     let obs_simulated = obs.counter("replay.jobs_simulated");
@@ -472,62 +542,80 @@ pub(crate) fn run_jobs_local(
     obs.gauge("explore.workers").set_max(workers as u64);
 
     let started = Instant::now();
-    let (outcomes, reports) =
-        run_parallel::<JobOutcome, SweepShard, _>(jobs.len(), workers, |index, shard| {
-            let job = jobs[index];
-            let key = job.job_id();
-            let _span = sigcomp_obs::span!("replay.job", job_id = format_args!("{key:016x}"));
-            let (metrics, from_cache) = if let Some(metrics) =
-                options.cache.as_ref().and_then(|c| c.load(key))
-            {
-                (metrics, true)
-            } else {
-                let metrics = match job.source {
-                    TraceSource::Kernel => {
-                        let benchmark = benchmarks[&(job.workload, job.size)].get_or_init(|| {
-                            find(job.workload, job.size)
-                                .unwrap_or_else(|| panic!("unknown workload {}", job.workload))
-                        });
-                        simulate_job(&job, benchmark)
-                    }
-                    TraceSource::File { digest } => {
-                        let input = traces_by_digest.get(&digest).unwrap_or_else(|| {
-                            panic!("no trace with digest {digest:016x} for job {}", job.label())
-                        });
-                        simulate_decoded(&job, input.decoded())
-                    }
-                };
+    let (per_pass, reports) =
+        run_parallel::<Vec<JobOutcome>, SweepShard, _>(passes.len(), workers, |p, shard| {
+            let members: Vec<JobSpec> = passes[p].iter().map(|&i| jobs[i]).collect();
+            let hits: Vec<Option<JobMetrics>> = members
+                .iter()
+                .map(|job| options.cache.as_ref().and_then(|c| c.load(job.job_id())))
+                .collect();
+            let misses: Vec<JobSpec> = members
+                .iter()
+                .zip(&hits)
+                .filter(|(_, hit)| hit.is_none())
+                .map(|(job, _)| *job)
+                .collect();
+            let mut fresh = Vec::new().into_iter();
+            if let Some(first) = misses.first() {
+                let pass_start = Instant::now();
+                let metrics = simulate_group(&misses, stream_of(first));
+                record_pass_spans(obs, pass_start, pass_start.elapsed(), &misses);
                 if let Some(cache) = options.cache.as_ref() {
-                    // A failed store only costs a re-simulation next run.
-                    let _ = cache.store(key, &metrics);
+                    for (job, m) in misses.iter().zip(&metrics) {
+                        // A failed store only costs a re-simulation next run.
+                        let _ = cache.store(job.job_id(), m);
+                    }
                 }
-                (metrics, false)
-            };
-            if from_cache {
-                shard.cached += 1;
-                obs_cached.incr();
-            } else {
-                shard.simulated += 1;
-                shard.instructions_simulated += metrics.instructions;
-                obs_simulated.incr();
-                obs_instructions.add(metrics.instructions);
+                fresh = metrics.into_iter();
             }
-            shard.activity.merge(&metrics.activity);
-            JobOutcome {
-                spec: job,
-                metrics,
-                from_cache,
-            }
+            members
+                .into_iter()
+                .zip(hits)
+                .map(|(spec, hit)| {
+                    let from_cache = hit.is_some();
+                    let metrics = hit
+                        .or_else(|| fresh.next())
+                        .expect("every miss was simulated");
+                    if from_cache {
+                        shard.cached += 1;
+                        obs_cached.incr();
+                    } else {
+                        shard.simulated += 1;
+                        shard.instructions_simulated += metrics.instructions;
+                        obs_simulated.incr();
+                        obs_instructions.add(metrics.instructions);
+                    }
+                    shard.activity.merge(&metrics.activity);
+                    JobOutcome {
+                        spec,
+                        metrics,
+                        from_cache,
+                    }
+                })
+                .collect()
         });
     let wall = started.elapsed();
     obs.histogram("explore.batch.wall", sigcomp_obs::DEFAULT_SPAN_BOUNDS_US)
         .observe(u64::try_from(wall.as_micros()).unwrap_or(u64::MAX));
 
+    let mut slots: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
+    for (members, outcomes) in passes.iter().zip(per_pass) {
+        for (&i, outcome) in members.iter().zip(outcomes) {
+            slots[i] = Some(outcome);
+        }
+    }
+    let outcomes = slots
+        .into_iter()
+        .map(|slot| slot.expect("every job belongs to one pass"))
+        .collect();
+
+    // Worker loads count jobs (hits and misses), not passes; steals count
+    // passes taken from a sibling's queue.
     let mut totals = SweepShard::default();
     let mut worker_loads = Vec::with_capacity(reports.len());
     for report in &reports {
         totals.merge(&report.shard);
-        worker_loads.push((report.jobs, report.steals));
+        worker_loads.push((report.shard.simulated + report.shard.cached, report.steals));
     }
 
     SweepSummary {
@@ -539,4 +627,75 @@ pub(crate) fn run_jobs_local(
         backend: "local",
         shard_obs: Vec::new(),
     }
+}
+
+/// Buckets job indices into replay passes by [`PassKey`], in order of first
+/// appearance. When there are fewer passes than workers, the largest passes
+/// are halved until every worker has one: a split pass walks its stream once
+/// per part, trading some shared work for parallelism.
+fn plan_passes(jobs: &[JobSpec], workers: usize) -> Vec<Vec<usize>> {
+    let mut index: HashMap<PassKey, usize> = HashMap::new();
+    let mut passes: Vec<Vec<usize>> = Vec::new();
+    for (i, job) in jobs.iter().enumerate() {
+        let p = *index.entry(PassKey::of(job)).or_insert_with(|| {
+            passes.push(Vec::new());
+            passes.len() - 1
+        });
+        passes[p].push(i);
+    }
+    while passes.len() < workers {
+        let Some(largest) = (0..passes.len()).max_by_key(|&p| passes[p].len()) else {
+            break;
+        };
+        let len = passes[largest].len();
+        if len < 2 {
+            break;
+        }
+        let tail = passes[largest].split_off(len / 2);
+        passes.push(tail);
+    }
+    passes
+}
+
+/// Records one `replay.group` span for a pass and one `replay.job` span per
+/// member. The members shared every record of the pass, so each is
+/// attributed an equal, consecutive share of the pass's wall time: a job's
+/// `dur_us` sums with its pass-mates' to the pass's.
+fn record_pass_spans(
+    obs: &sigcomp_obs::Registry,
+    start: Instant,
+    wall: Duration,
+    members: &[JobSpec],
+) {
+    let share = wall / u32::try_from(members.len()).unwrap_or(u32::MAX);
+    let mut at = start;
+    for job in members {
+        let id = job.job_id();
+        obs.record_span(
+            "replay.job",
+            at,
+            share,
+            &[("job_id", &format_args!("{id:016x}"))],
+        );
+        at += share;
+    }
+    let job = &members[0];
+    obs.record_span(
+        "replay.group",
+        start,
+        wall,
+        &[
+            ("jobs", &members.len()),
+            (
+                "pass",
+                &format_args!(
+                    "{}/{}/{}/{}",
+                    job.workload,
+                    job.scheme.id(),
+                    job.mem.id(),
+                    job.size_label()
+                ),
+            ),
+        ],
+    );
 }

@@ -5,10 +5,12 @@
 
 use sigcomp::EnergyModel;
 use sigcomp_explore::{
-    config_points, run_sweep, to_csv, to_json, JobSpec, MemProfile, ResultCache, SweepOptions,
-    SweepSpec, TraceInput,
+    config_points, run_jobs_traced, run_sweep, simulate_decoded, simulate_job, to_csv, to_json,
+    JobMetrics, JobSpec, MemProfile, ResultCache, SweepOptions, SweepSpec, SweepSummary,
+    TraceInput, TraceSource,
 };
-use sigcomp_workloads::{find, WorkloadSize};
+use sigcomp_workloads::{find, suite_names, Benchmark, WorkloadSize};
+use std::collections::HashMap;
 
 fn small_spec() -> SweepSpec {
     // 2 workloads × 7 organizations × 2 schemes = 28 jobs; Tiny keeps each
@@ -329,4 +331,139 @@ fn second_run_hits_the_cache_with_identical_results() {
     assert_eq!(mixed.simulated(), 7);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fused-replay differential's design space: tiny kernels × every scheme
+/// × every organization × every memory profile, plus one recorded trace over
+/// the same axes. Debug builds sweep one kernel to keep the tier-1 run
+/// short; the release run covers the whole suite.
+fn fused_space() -> (Vec<JobSpec>, Vec<TraceInput>) {
+    let kernels: &[&str] = if cfg!(debug_assertions) {
+        &["rawcaudio"]
+    } else {
+        suite_names()
+    };
+    let recorded = find("gsmencode", WorkloadSize::Tiny)
+        .unwrap()
+        .trace()
+        .unwrap();
+    let trace = TraceInput::from_trace("recorded-gsmencode", recorded).unwrap();
+    let spec = SweepSpec::full(WorkloadSize::Tiny)
+        .workloads(kernels)
+        .mems(MemProfile::ALL)
+        .trace_files(std::slice::from_ref(&trace));
+    (spec.enumerate(), spec.trace_inputs().to_vec())
+}
+
+/// Every job simulated alone through the one-job entry points.
+fn one_at_a_time(jobs: &[JobSpec], traces: &[TraceInput]) -> Vec<JobMetrics> {
+    let mut kernels: HashMap<(&str, WorkloadSize), Benchmark> = HashMap::new();
+    jobs.iter()
+        .map(|job| match job.source {
+            TraceSource::Kernel => {
+                let kernel = kernels
+                    .entry((job.workload, job.size))
+                    .or_insert_with(|| find(job.workload, job.size).unwrap());
+                simulate_job(job, kernel)
+            }
+            TraceSource::File { digest } => {
+                let input = traces.iter().find(|t| t.digest() == digest).unwrap();
+                simulate_decoded(job, input.decoded())
+            }
+        })
+        .collect()
+}
+
+fn assert_job_order_identity(
+    summary: &SweepSummary,
+    jobs: &[JobSpec],
+    reference: &[JobMetrics],
+    what: &str,
+) {
+    assert_eq!(summary.outcomes.len(), jobs.len(), "{what}");
+    for ((outcome, job), metrics) in summary.outcomes.iter().zip(jobs).zip(reference) {
+        assert_eq!(outcome.spec, *job, "{what}");
+        assert_eq!(outcome.metrics, *metrics, "{what}: {}", job.label());
+    }
+    // Worker loads count jobs, however they were grouped into passes.
+    let loads: u64 = summary.worker_loads.iter().map(|&(jobs, _)| jobs).sum();
+    assert_eq!(loads, jobs.len() as u64, "{what}");
+}
+
+/// [`fused_space`] and its one-at-a-time reference, computed once and
+/// shared by the differential tests.
+fn fused_reference() -> &'static (Vec<JobSpec>, Vec<TraceInput>, Vec<JobMetrics>) {
+    static REFERENCE: std::sync::OnceLock<(Vec<JobSpec>, Vec<TraceInput>, Vec<JobMetrics>)> =
+        std::sync::OnceLock::new();
+    REFERENCE.get_or_init(|| {
+        let (jobs, traces) = fused_space();
+        let reference = one_at_a_time(&jobs, &traces);
+        (jobs, traces, reference)
+    })
+}
+
+#[test]
+fn fused_replay_equals_one_job_at_a_time() {
+    let (jobs, traces, reference) = fused_reference();
+    for workers in [1, 2, 5] {
+        let summary = run_jobs_traced(jobs, traces, &SweepOptions::with_workers(workers));
+        assert_job_order_identity(&summary, jobs, reference, &format!("{workers} workers"));
+        assert_eq!(summary.simulated(), jobs.len() as u64);
+    }
+}
+
+#[test]
+fn fused_replay_answers_duplicates_and_single_member_passes() {
+    let (all, traces, _) = fused_reference();
+    // One organization per (stream, scheme, memory) block: every pass has a
+    // single member. Then the same spec three times in one pass, and a
+    // second pass holding a duplicate, interleaved with the singles.
+    let mut jobs: Vec<JobSpec> = all
+        .chunks(7)
+        .enumerate()
+        .map(|(block, orgs)| orgs[block % 7])
+        .collect();
+    for (at, pick) in [(0, 0), (5, 3), (9, 0), (13, 0), (17, 6), (21, 8), (25, 8)] {
+        jobs.insert(at, all[pick]);
+    }
+    let reference = one_at_a_time(&jobs, traces);
+    for workers in [1, 2, 5] {
+        let summary = run_jobs_traced(&jobs, traces, &SweepOptions::with_workers(workers));
+        assert_job_order_identity(&summary, &jobs, &reference, &format!("{workers} workers"));
+    }
+
+    // A lone pass (with a duplicate) on more workers than passes is split
+    // so every worker gets a part.
+    let lone: Vec<JobSpec> = all[..7].iter().chain(&all[..1]).copied().collect();
+    let reference = one_at_a_time(&lone, traces);
+    for workers in [1, 2, 5] {
+        let summary = run_jobs_traced(&lone, traces, &SweepOptions::with_workers(workers));
+        assert_job_order_identity(&summary, &lone, &reference, &format!("lone, {workers}"));
+        assert_eq!(summary.workers, workers);
+    }
+}
+
+#[test]
+fn fused_replay_over_a_half_warm_cache() {
+    let (jobs, traces, reference) = fused_reference();
+    // Every third job is warm, so each pass mixes hits and misses.
+    let warm: Vec<JobSpec> = jobs.iter().step_by(3).copied().collect();
+    for workers in [1, 2, 5] {
+        let dir = std::env::temp_dir().join(format!(
+            "sigcomp-explore-half-warm-{}-{workers}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options =
+            || SweepOptions::with_workers(workers).cache(ResultCache::open(&dir).unwrap());
+        let primed = run_jobs_traced(&warm, traces, &options());
+        assert_eq!(primed.simulated(), warm.len() as u64);
+        let summary = run_jobs_traced(jobs, traces, &options());
+        assert_job_order_identity(&summary, jobs, reference, &format!("{workers} workers"));
+        for (i, outcome) in summary.outcomes.iter().enumerate() {
+            assert_eq!(outcome.from_cache, i % 3 == 0, "{}", outcome.spec.label());
+        }
+        assert_eq!(summary.cached(), warm.len() as u64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -41,6 +41,18 @@ pub struct MemResult {
     pub l1_fill: Option<u32>,
 }
 
+/// The hierarchy's outcomes for one retired instruction: its fetch and, for
+/// a load or store, its data access. They depend only on the address stream
+/// and the hierarchy, so one walk can serve every model replaying the same
+/// stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemStep {
+    /// The instruction fetch.
+    pub fetch: MemResult,
+    /// The data access of a load or store; `None` for other instructions.
+    pub data: Option<MemResult>,
+}
+
 /// Split L1 instruction/data caches, a unified L2, and split TLBs.
 ///
 /// Writebacks of dirty victims are charged to L2 occupancy but, as in most
@@ -75,12 +87,6 @@ impl MemoryHierarchy {
     #[must_use]
     pub fn config(&self) -> &HierarchyConfig {
         &self.config
-    }
-
-    /// Line size of the L1 caches in bytes.
-    #[must_use]
-    pub fn l1_line_bytes(&self) -> u32 {
-        self.config.il1.line_bytes
     }
 
     /// Fetches an instruction word.

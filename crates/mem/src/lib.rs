@@ -42,6 +42,6 @@ mod tlb;
 
 pub use cache::{Cache, CacheAccess, EvictedLine};
 pub use config::{CacheConfig, HierarchyConfig, TlbConfig};
-pub use hierarchy::{AccessKind, HitLevel, MemResult, MemoryHierarchy};
+pub use hierarchy::{AccessKind, HitLevel, MemResult, MemStep, MemoryHierarchy};
 pub use stats::{CacheStats, HierarchyStats, TlbStats};
 pub use tlb::Tlb;

@@ -10,12 +10,12 @@
 
 use crate::histogram::Histogram;
 use crate::snapshot::{Snapshot, SnapshotError};
-use crate::span::Span;
+use crate::span::{emit, Span};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A monotonic counter handle. Clones share the same underlying atomic.
 #[derive(Debug, Clone, Default)]
@@ -192,6 +192,33 @@ impl Registry {
             Arc::clone(&self.sink),
             self.epoch,
         )
+    }
+
+    /// Records a span whose timing was measured elsewhere — e.g. one job's
+    /// share of a pass it ran in with others: `elapsed` (µs) goes into the
+    /// histogram named `name`, and with a sink attached one JSONL event
+    /// stamped `start` carries `fields`, exactly as a live [`Span`] would.
+    pub fn record_span(
+        &self,
+        name: &str,
+        start: Instant,
+        elapsed: Duration,
+        fields: &[(&'static str, &dyn std::fmt::Display)],
+    ) {
+        let fields: Vec<(&str, String)> = if Registry::is_sink_active(&self.sink) {
+            fields.iter().map(|&(k, v)| (k, v.to_string())).collect()
+        } else {
+            Vec::new()
+        };
+        emit(
+            name,
+            &self.histogram(name, crate::DEFAULT_SPAN_BOUNDS_US),
+            &self.sink,
+            self.epoch,
+            start,
+            elapsed,
+            &fields,
+        );
     }
 
     /// Freezes every metric into a [`Snapshot`].

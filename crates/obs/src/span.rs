@@ -8,7 +8,7 @@ use crate::json_escape;
 use crate::registry::{Registry, SinkState};
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A live span; created by [`Registry::span`](crate::Registry::span) or the
 /// [`span!`](crate::span) macro. Dropping it records the measurement.
@@ -53,29 +53,51 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let elapsed = self.start.elapsed();
-        let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        self.histogram.observe(us);
-        if Registry::is_sink_active(&self.sink) {
-            let ts = u64::try_from(self.start.duration_since(self.epoch).as_micros())
-                .unwrap_or(u64::MAX);
-            let mut line = String::new();
+        emit(
+            &self.name,
+            &self.histogram,
+            &self.sink,
+            self.epoch,
+            self.start,
+            self.start.elapsed(),
+            &self.fields,
+        );
+    }
+}
+
+/// The one span emitter: records `elapsed` (µs) into `histogram` and, when
+/// the sink is active, writes the span's JSONL event, stamped with `start`
+/// relative to the registry's `epoch`. Live spans call it on drop;
+/// [`Registry::record_span`] calls it for spans measured elsewhere.
+pub(crate) fn emit(
+    name: &str,
+    histogram: &Histogram,
+    sink: &SinkState,
+    epoch: Instant,
+    start: Instant,
+    elapsed: Duration,
+    fields: &[(&str, String)],
+) {
+    let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+    histogram.observe(us);
+    if Registry::is_sink_active(sink) {
+        let ts = u64::try_from(start.duration_since(epoch).as_micros()).unwrap_or(u64::MAX);
+        let mut line = String::new();
+        let _ = write!(
+            line,
+            "{{\"span\": \"{}\", \"ts_us\": {ts}, \"dur_us\": {us}",
+            json_escape(name)
+        );
+        for (key, value) in fields {
             let _ = write!(
                 line,
-                "{{\"span\": \"{}\", \"ts_us\": {ts}, \"dur_us\": {us}",
-                json_escape(&self.name)
+                ", \"{}\": \"{}\"",
+                json_escape(key),
+                json_escape(value)
             );
-            for (key, value) in &self.fields {
-                let _ = write!(
-                    line,
-                    ", \"{}\": \"{}\"",
-                    json_escape(key),
-                    json_escape(value)
-                );
-            }
-            line.push('}');
-            Registry::log_line(&self.sink, &line);
         }
+        line.push('}');
+        Registry::log_line(sink, &line);
     }
 }
 
@@ -154,6 +176,29 @@ mod tests {
         assert!(event.contains("\"dur_us\": "));
         assert!(event.contains("\"job_id\": \"42\""));
         assert!(event.contains("\"note\": \"a\\\"b\""));
+    }
+
+    #[test]
+    fn recorded_spans_emit_like_live_ones() {
+        let r = Registry::new();
+        let sink = Shared::default();
+        r.set_jsonl_writer(Box::new(sink.clone()));
+        let start = std::time::Instant::now();
+        r.record_span(
+            "unit.share",
+            start,
+            std::time::Duration::from_micros(1500),
+            &[("job_id", &7)],
+        );
+        let hist = &r.snapshot().histograms["unit.share"];
+        assert_eq!((hist.count, hist.sum), (1, 1500));
+        let log = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let event = log.lines().nth(1).expect("span event line");
+        assert!(event.starts_with("{\"span\": \"unit.share\", \"ts_us\": "));
+        assert!(
+            event.ends_with(", \"dur_us\": 1500, \"job_id\": \"7\"}"),
+            "{event}"
+        );
     }
 
     #[test]

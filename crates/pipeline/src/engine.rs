@@ -19,10 +19,10 @@
 
 use crate::organization::{Organization, Stage};
 use crate::predictor::BimodalPredictor;
-use sigcomp::cost::{instr_cost, InstrCost};
+use sigcomp::cost::{instr_cost, step_memory, InstrCost};
 use sigcomp::FunctRecoder;
 use sigcomp_isa::{ExecRecord, Op};
-use sigcomp_mem::{AccessKind, HierarchyConfig, HierarchyStats, MemoryHierarchy};
+use sigcomp_mem::{HierarchyConfig, HierarchyStats, MemStep, MemoryHierarchy};
 use std::fmt;
 
 /// Cycles lost to each cause, for the bottleneck study of §5.
@@ -72,7 +72,9 @@ pub struct SimResult {
     pub cycles: u64,
     /// Stall attribution.
     pub stalls: StallBreakdown,
-    /// Memory-hierarchy counters accumulated during the run.
+    /// Memory-hierarchy counters accumulated during the run (all zero for a
+    /// simulator built [`without_hierarchy`](PipelineSim::without_hierarchy),
+    /// whose caller owns the counters).
     pub hierarchy: HierarchyStats,
     /// Conditional branches executed.
     pub branches: u64,
@@ -142,11 +144,17 @@ impl fmt::Display for SimResult {
 /// Feed retired instructions with [`PipelineSim::observe`] (directly from the
 /// interpreter, a stored [`Trace`](sigcomp_isa::Trace) or the statistical
 /// synthesizer) and call [`PipelineSim::finish`] for the [`SimResult`].
+///
+/// Only the timing state is per-organization: a caller timing one stream on
+/// several organizations builds them [`without_hierarchy`](Self::without_hierarchy),
+/// walks one shared hierarchy, and feeds each record's outcomes to every
+/// simulator through [`PipelineSim::observe_step`].
 #[derive(Debug, Clone)]
 pub struct PipelineSim {
     org: Organization,
-    recoder: FunctRecoder,
-    hierarchy: MemoryHierarchy,
+    /// What [`PipelineSim::observe`] distils and walks records with; `None`
+    /// when the caller does both for several simulators.
+    standalone: Option<Standalone>,
     /// Pipeline depth, cached so the hot loop never re-asks the organization.
     depth: usize,
     /// The organization's stage list in a fixed-size array (depth ≤ 7).
@@ -184,6 +192,13 @@ pub struct PipelineSim {
     total_byte_cycles: [u64; 7],
 }
 
+/// The recoding and memory hierarchy a standalone simulator owns.
+#[derive(Debug, Clone)]
+struct Standalone {
+    recoder: FunctRecoder,
+    hierarchy: MemoryHierarchy,
+}
+
 impl PipelineSim {
     /// Creates a simulator with the paper's memory-hierarchy parameters and
     /// the default function-code recoding.
@@ -203,6 +218,22 @@ impl PipelineSim {
         hierarchy: &HierarchyConfig,
         recoder: FunctRecoder,
     ) -> Self {
+        let standalone = Standalone {
+            recoder,
+            hierarchy: MemoryHierarchy::new(hierarchy),
+        };
+        Self::build(org, Some(standalone))
+    }
+
+    /// Creates a simulator that owns no memory hierarchy: its caller
+    /// computes each record's cost and walks a hierarchy, and passes both to
+    /// [`PipelineSim::observe_step`].
+    #[must_use]
+    pub fn without_hierarchy(org: Organization) -> Self {
+        Self::build(org, None)
+    }
+
+    fn build(org: Organization, standalone: Option<Standalone>) -> Self {
         let depth = org.depth();
         debug_assert!(depth <= 7, "the fixed stage arrays hold up to 7 stages");
         let mut stages = [Stage::Fetch; 7];
@@ -214,8 +245,7 @@ impl PipelineSim {
             stage_pos[stage as usize] = i;
         }
         PipelineSim {
-            hierarchy: MemoryHierarchy::new(hierarchy),
-            recoder,
+            standalone,
             depth,
             stages,
             lane_bytes,
@@ -270,12 +300,19 @@ impl PipelineSim {
 
     /// Feeds one retired instruction through the timing model.
     ///
-    /// This is the replay hot loop: every per-record quantity comes from the
-    /// attributes cached at construction and fixed-size stack arrays — no
-    /// heap allocation per record.
+    /// # Panics
+    ///
+    /// On a simulator built [`without_hierarchy`](Self::without_hierarchy).
     pub fn observe(&mut self, rec: &ExecRecord) {
-        let cost = instr_cost(rec, self.org.scheme(), &self.recoder);
+        let scheme = self.org.scheme();
+        let cost = instr_cost(rec, scheme, &self.standalone().recoder);
         self.observe_with_cost(rec, &cost);
+    }
+
+    fn standalone(&mut self) -> &mut Standalone {
+        self.standalone
+            .as_mut()
+            .expect("a simulator without a hierarchy is fed through observe_step")
     }
 
     /// [`PipelineSim::observe`] with the record's [`InstrCost`] supplied by
@@ -283,24 +320,35 @@ impl PipelineSim {
     /// distil the record once instead of once per model. The cost must come
     /// from `instr_cost(rec, ...)` under this simulator's scheme and
     /// recoder, or the timing is meaningless.
+    ///
+    /// # Panics
+    ///
+    /// On a simulator built [`without_hierarchy`](Self::without_hierarchy).
     pub fn observe_with_cost(&mut self, rec: &ExecRecord, cost: &InstrCost) {
+        let step = step_memory(&mut self.standalone().hierarchy, rec);
+        self.observe_step(rec, cost, &step);
+    }
+
+    /// The per-record core of the timing model: one instruction with its
+    /// [`InstrCost`] and its memory outcomes ([`step_memory`] over a
+    /// hierarchy with this simulator's parameters). Neither input depends on
+    /// the organization, so a caller timing one stream on several
+    /// organizations computes both once per record and shares them.
+    ///
+    /// This is the replay hot loop: every per-record quantity comes from the
+    /// attributes cached at construction and fixed-size stack arrays — no
+    /// heap allocation per record.
+    pub fn observe_step(&mut self, rec: &ExecRecord, cost: &InstrCost, step: &MemStep) {
         let cost = *cost;
         let depth = self.depth;
 
         // Per-stage occupancy, including cache/TLB miss penalties.
-        let imem = self.hierarchy.fetch_instruction(rec.pc);
         let mut occ = [0u64; 7];
         for (slot, &stage) in occ.iter_mut().zip(&self.stages[..depth]) {
             *slot = u64::from(self.org.occupancy(stage, &cost));
         }
-        occ[0] += u64::from(imem.latency.saturating_sub(1));
-        if let Some(mem) = rec.mem {
-            let kind = if mem.is_store {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            let dmem = self.hierarchy.data_access(mem.addr, kind);
+        occ[0] += u64::from(step.fetch.latency.saturating_sub(1));
+        if let Some(dmem) = step.data {
             occ[self.mem_index] += u64::from(dmem.latency.saturating_sub(1));
         }
 
@@ -439,7 +487,10 @@ impl PipelineSim {
             instructions: self.instructions,
             cycles: self.completion,
             stalls: self.stalls,
-            hierarchy: self.hierarchy.stats(),
+            hierarchy: self
+                .standalone
+                .map(|own| own.hierarchy.stats())
+                .unwrap_or_default(),
             branches: self.branches,
             mispredictions: self.mispredictions,
             gated_byte_cycles: self.gated_byte_cycles,
@@ -634,6 +685,49 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("CPI"));
         assert!(s.contains("32-bit baseline"));
+    }
+
+    #[test]
+    fn shared_hierarchy_replay_matches_standalone_simulators() {
+        // One hierarchy walk feeding every organization times each exactly
+        // like a simulator walking its own.
+        let trace = counter_trace(1_500);
+        let recoder = FunctRecoder::paper_default();
+        let config = HierarchyConfig::paper();
+        let orgs: Vec<Organization> = OrgKind::ALL.iter().map(|&k| Organization::new(k)).collect();
+        let mut standalone: Vec<PipelineSim> = orgs
+            .iter()
+            .map(|o| PipelineSim::with_config(o.clone(), &config, recoder.clone()))
+            .collect();
+        let mut detached: Vec<PipelineSim> = orgs
+            .iter()
+            .map(|o| PipelineSim::without_hierarchy(o.clone()))
+            .collect();
+        let mut shared = MemoryHierarchy::new(&config);
+        let scheme = orgs[1].scheme();
+        for rec in &trace {
+            let cost = instr_cost(rec, scheme, &recoder);
+            let step = step_memory(&mut shared, rec);
+            for sim in &mut standalone {
+                sim.observe_with_cost(rec, &cost);
+            }
+            for sim in &mut detached {
+                sim.observe_step(rec, &cost, &step);
+            }
+        }
+        for (own, fed) in standalone.into_iter().zip(detached) {
+            let own = own.finish();
+            let fed = fed.finish();
+            assert_eq!(own.hierarchy, shared.stats(), "{}", own.organization);
+            assert_eq!(fed.hierarchy, HierarchyStats::default());
+            assert_eq!(
+                SimResult {
+                    hierarchy: HierarchyStats::default(),
+                    ..own
+                },
+                fed
+            );
+        }
     }
 
     #[test]
