@@ -494,14 +494,15 @@ pub fn run_jobs_traced(
 /// executor, results reassembled in job order.
 ///
 /// A pass answers its cache hits first and simulates the rest in one walk of
-/// its stream. Which jobs share a pass never changes a result, so outcomes
-/// are bit-identical to one job at a time.
+/// its stream; with a cache, a spec repeated in the batch is simulated once.
+/// Which jobs share a pass never changes a result, so outcomes are
+/// bit-identical to one job at a time.
 pub(crate) fn run_jobs_local(
     jobs: &[JobSpec],
     traces: &[TraceInput],
     options: &SweepOptions,
 ) -> SweepSummary {
-    let passes = plan_passes(jobs, options.effective_workers());
+    let passes = plan_passes(jobs);
     // Mirror the executor's clamp so the summary reports the worker count
     // actually used.
     let workers = options.effective_workers().min(passes.len().max(1));
@@ -545,37 +546,51 @@ pub(crate) fn run_jobs_local(
     let (per_pass, reports) =
         run_parallel::<Vec<JobOutcome>, SweepShard, _>(passes.len(), workers, |p, shard| {
             let members: Vec<JobSpec> = passes[p].iter().map(|&i| jobs[i]).collect();
-            let hits: Vec<Option<JobMetrics>> = members
+            // With a cache, a repeated spec is simulated once and its later
+            // copies are answered from what the first one stored.
+            let mut hits: Vec<JobMetrics> = Vec::new();
+            let mut misses: Vec<JobSpec> = Vec::new();
+            let mut first_miss: HashMap<u64, usize> = HashMap::new();
+            let answers: Vec<Answer> = members
                 .iter()
-                .map(|job| options.cache.as_ref().and_then(|c| c.load(job.job_id())))
+                .map(|job| {
+                    let Some(cache) = options.cache.as_ref() else {
+                        misses.push(*job);
+                        return Answer::Simulated(misses.len() - 1);
+                    };
+                    if let Some(&i) = first_miss.get(&job.job_id()) {
+                        return Answer::Copy(i);
+                    }
+                    if let Some(hit) = cache.load(job.job_id()) {
+                        hits.push(hit);
+                        return Answer::Hit(hits.len() - 1);
+                    }
+                    misses.push(*job);
+                    first_miss.insert(job.job_id(), misses.len() - 1);
+                    Answer::Simulated(misses.len() - 1)
+                })
                 .collect();
-            let misses: Vec<JobSpec> = members
-                .iter()
-                .zip(&hits)
-                .filter(|(_, hit)| hit.is_none())
-                .map(|(job, _)| *job)
-                .collect();
-            let mut fresh = Vec::new().into_iter();
+            let mut fresh = Vec::new();
             if let Some(first) = misses.first() {
                 let pass_start = Instant::now();
-                let metrics = simulate_group(&misses, stream_of(first));
+                fresh = simulate_group(&misses, stream_of(first));
                 record_pass_spans(obs, pass_start, pass_start.elapsed(), &misses);
                 if let Some(cache) = options.cache.as_ref() {
-                    for (job, m) in misses.iter().zip(&metrics) {
+                    for (job, m) in misses.iter().zip(&fresh) {
                         // A failed store only costs a re-simulation next run.
                         let _ = cache.store(job.job_id(), m);
                     }
                 }
-                fresh = metrics.into_iter();
             }
             members
                 .into_iter()
-                .zip(hits)
-                .map(|(spec, hit)| {
-                    let from_cache = hit.is_some();
-                    let metrics = hit
-                        .or_else(|| fresh.next())
-                        .expect("every miss was simulated");
+                .zip(answers)
+                .map(|(spec, answer)| {
+                    let (metrics, from_cache) = match answer {
+                        Answer::Hit(i) => (hits[i], true),
+                        Answer::Copy(i) => (fresh[i], true),
+                        Answer::Simulated(i) => (fresh[i], false),
+                    };
                     if from_cache {
                         shard.cached += 1;
                         obs_cached.incr();
@@ -629,11 +644,19 @@ pub(crate) fn run_jobs_local(
     }
 }
 
+/// How a pass answers one of its members.
+enum Answer {
+    /// Loaded from the result cache, as the hit at this index.
+    Hit(usize),
+    /// Simulated in the pass, as the miss at this index.
+    Simulated(usize),
+    /// A repeat of the miss at this index, answered by its stored result.
+    Copy(usize),
+}
+
 /// Buckets job indices into replay passes by [`PassKey`], in order of first
-/// appearance. When there are fewer passes than workers, the largest passes
-/// are halved until every worker has one: a split pass walks its stream once
-/// per part, trading some shared work for parallelism.
-fn plan_passes(jobs: &[JobSpec], workers: usize) -> Vec<Vec<usize>> {
+/// appearance. Every copy of a spec lands in the same pass.
+fn plan_passes(jobs: &[JobSpec]) -> Vec<Vec<usize>> {
     let mut index: HashMap<PassKey, usize> = HashMap::new();
     let mut passes: Vec<Vec<usize>> = Vec::new();
     for (i, job) in jobs.iter().enumerate() {
@@ -642,17 +665,6 @@ fn plan_passes(jobs: &[JobSpec], workers: usize) -> Vec<Vec<usize>> {
             passes.len() - 1
         });
         passes[p].push(i);
-    }
-    while passes.len() < workers {
-        let Some(largest) = (0..passes.len()).max_by_key(|&p| passes[p].len()) else {
-            break;
-        };
-        let len = passes[largest].len();
-        if len < 2 {
-            break;
-        }
-        let tail = passes[largest].split_off(len / 2);
-        passes.push(tail);
     }
     passes
 }

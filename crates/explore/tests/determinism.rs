@@ -10,7 +10,7 @@ use sigcomp_explore::{
     TraceInput, TraceSource,
 };
 use sigcomp_workloads::{find, suite_names, Benchmark, WorkloadSize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 fn small_spec() -> SweepSpec {
     // 2 workloads × 7 organizations × 2 schemes = 28 jobs; Tiny keeps each
@@ -427,19 +427,53 @@ fn fused_replay_answers_duplicates_and_single_member_passes() {
         jobs.insert(at, all[pick]);
     }
     let reference = one_at_a_time(&jobs, traces);
+    let distinct = jobs
+        .iter()
+        .map(JobSpec::job_id)
+        .collect::<HashSet<_>>()
+        .len() as u64;
     for workers in [1, 2, 5] {
         let summary = run_jobs_traced(&jobs, traces, &SweepOptions::with_workers(workers));
         assert_job_order_identity(&summary, &jobs, &reference, &format!("{workers} workers"));
+        // Without a cache every copy is simulated.
+        assert_eq!(summary.simulated(), jobs.len() as u64);
+        assert_eq!(summary.cached(), 0);
+
+        // With one, each distinct spec is simulated once and its later
+        // copies are answered from the cache.
+        let dir = std::env::temp_dir().join(format!(
+            "sigcomp-explore-duplicates-{}-{workers}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cached = run_jobs_traced(
+            &jobs,
+            traces,
+            &SweepOptions::with_workers(workers).cache(ResultCache::open(&dir).unwrap()),
+        );
+        assert_job_order_identity(&cached, &jobs, &reference, &format!("cached, {workers}"));
+        assert_eq!(cached.simulated(), distinct, "{workers} workers");
+        assert_eq!(
+            cached.cached(),
+            jobs.len() as u64 - distinct,
+            "{workers} workers"
+        );
+        let mut seen = HashSet::new();
+        for outcome in &cached.outcomes {
+            let first = seen.insert(outcome.spec.job_id());
+            assert_eq!(outcome.from_cache, !first, "{}", outcome.spec.label());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // A lone pass (with a duplicate) on more workers than passes is split
-    // so every worker gets a part.
+    // A lone pass (with a duplicate) runs on one worker, however many are
+    // offered.
     let lone: Vec<JobSpec> = all[..7].iter().chain(&all[..1]).copied().collect();
     let reference = one_at_a_time(&lone, traces);
     for workers in [1, 2, 5] {
         let summary = run_jobs_traced(&lone, traces, &SweepOptions::with_workers(workers));
         assert_job_order_identity(&summary, &lone, &reference, &format!("lone, {workers}"));
-        assert_eq!(summary.workers, workers);
+        assert_eq!(summary.workers, 1);
     }
 }
 
