@@ -11,7 +11,7 @@ use sigcomp::{
 };
 use sigcomp_isa::{DecodedTrace, ExecRecord, Trace};
 use sigcomp_mem::MemoryHierarchy;
-use sigcomp_pipeline::{OrgKind, Organization, PipelineSim, SimResult, Stage};
+use sigcomp_pipeline::{OrgKind, Organization, PipelineSim, RecordFacts, SimResult, Stage};
 use sigcomp_workloads::{find, Benchmark, WorkloadSize};
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -305,10 +305,11 @@ impl PassKey {
 }
 
 /// Simulates `jobs` — design points sharing one [`PassKey`] — in a single
-/// pass over `stream`. Each record is distilled once into its cost and its
-/// memory outcomes (one shared hierarchy walk) and observed once by the
-/// organization-independent activity study; only the timing models are
-/// per job. Every job's metrics are bit-identical to a pass of its own.
+/// pass over `stream`. Each record is distilled once into its cost, its
+/// memory outcomes (one shared hierarchy walk) and its timing facts, and
+/// observed once by the organization-independent activity study; only the
+/// table-driven timing step is per job. Every job's metrics are
+/// bit-identical to a pass of its own.
 fn simulate_group(jobs: &[JobSpec], stream: Stream<'_>) -> Vec<JobMetrics> {
     let config = jobs[0].analyzer_config();
     debug_assert!(jobs
@@ -324,8 +325,9 @@ fn simulate_group(jobs: &[JobSpec], stream: Stream<'_>) -> Vec<JobMetrics> {
         let cost = instr_cost(rec, config.scheme, &config.recoder);
         let step = step_memory(&mut hierarchy, rec);
         analyzer.observe_step(rec, &cost, &step);
+        let facts = RecordFacts::new(rec, &cost, &step);
         for sim in &mut sims {
-            sim.observe_step(rec, &cost, &step);
+            sim.observe_facts(&facts);
         }
     });
     let shared = analyzer.report();

@@ -3,25 +3,45 @@
 //! The engine is trace-driven: it consumes retired instructions (with their
 //! operand values) in program order and computes, for each instruction, the
 //! cycle at which it enters every stage of the chosen
-//! [`Organization`](crate::Organization). Three kinds of constraints delay an
-//! instruction:
+//! [`Organization`](crate::Organization). It works in three parts:
 //!
-//! * **structural** — a stage still busy processing the previous
-//!   instruction's bytes (the dominant effect in the serial organizations),
-//! * **data hazards** — source operands bypassed from a producer that has not
-//!   yet reached its producing stage (loads produce later than ALU results;
-//!   the skewed organizations produce later than the five-stage ones),
-//! * **control** — there is no branch prediction, so fetch stalls until a
-//!   branch resolves in the execute stage (§3 of the paper).
+//! * **Facts.** [`RecordFacts`] distils one record, its cost vector and its
+//!   cache/TLB outcomes into what timing reads: the per-stage table keys
+//!   (fetch, operand, execute, memory, result and register-read bytes), the
+//!   short-operand flag, the source and destination registers, whether the
+//!   result is loaded, the control class (branch, `jr`/`jalr`, jump) and
+//!   the fetch and data miss penalties. None of it depends on the
+//!   organization, so a pass timing several organizations builds it once.
+//! * **Tables.** At construction each organization is compiled into
+//!   per-stage occupancy and used-byte tables plus the stage positions where
+//!   results are produced and branches resolve, by evaluating the
+//!   [`Organization`](crate::Organization) rule methods over every key
+//!   value. Those methods stay the one statement of the paper's rules.
+//! * **The step.** [`PipelineSim::observe_facts`] looks up each stage's
+//!   occupancy (adding miss penalties) and runs the max-plus recurrence.
+//!   Three kinds of constraints delay an instruction:
+//!   - **structural**: a stage still busy processing the previous
+//!     instruction's bytes (the dominant effect in the serial
+//!     organizations);
+//!   - **data hazards**: source operands bypassed from a producer that has
+//!     not yet reached its producing stage (loads produce later than ALU
+//!     results);
+//!   - **control**: there is no branch prediction, so fetch stalls until a
+//!     branch resolves (§3 of the paper).
 //!
-//! Cache and TLB misses lengthen the fetch/memory occupancy of the
-//! instruction that suffers them, using the hierarchy parameters of §3.
+//!   Each stall cycle is charged to its binding cause for the §5
+//!   bottleneck study.
+//!
+//! [`PipelineSim::observe`], [`PipelineSim::observe_with_cost`] and
+//! [`PipelineSim::observe_step`] are adapters that supply what the caller
+//! has not (the cost, the hierarchy walk, the facts) and end in the step.
 
 use crate::organization::{Organization, Stage};
 use crate::predictor::BimodalPredictor;
+use crate::table::{OrgTables, RecordFacts, Redirect, NO_REG};
 use sigcomp::cost::{instr_cost, step_memory, InstrCost};
 use sigcomp::FunctRecoder;
-use sigcomp_isa::{ExecRecord, Op};
+use sigcomp_isa::ExecRecord;
 use sigcomp_mem::{HierarchyConfig, HierarchyStats, MemStep, MemoryHierarchy};
 use std::fmt;
 
@@ -147,38 +167,24 @@ impl fmt::Display for SimResult {
 ///
 /// Only the timing state is per-organization: a caller timing one stream on
 /// several organizations builds them [`without_hierarchy`](Self::without_hierarchy),
-/// walks one shared hierarchy, and feeds each record's outcomes to every
-/// simulator through [`PipelineSim::observe_step`].
+/// walks one shared hierarchy, distils each record into [`RecordFacts`]
+/// once, and feeds the facts to every simulator through
+/// [`PipelineSim::observe_facts`].
 #[derive(Debug, Clone)]
 pub struct PipelineSim {
     org: Organization,
     /// What [`PipelineSim::observe`] distils and walks records with; `None`
     /// when the caller does both for several simulators.
     standalone: Option<Standalone>,
-    /// Pipeline depth, cached so the hot loop never re-asks the organization.
-    depth: usize,
-    /// The organization's stage list in a fixed-size array (depth ≤ 7).
-    stages: [Stage; 7],
-    /// Per-stage powered-lane budget, cached from the organization.
-    lane_bytes: [u64; 7],
-    /// Stage → pipeline-index lookup, indexed by `Stage as usize`
-    /// (`usize::MAX` for stages the organization does not have).
-    stage_pos: [usize; 7],
-    /// Index of the (low-order) execute stage.
-    ex_index: usize,
-    /// Index of the (low-order) memory stage.
-    mem_index: usize,
-    /// Whether the organization can gate unused byte lanes.
-    gates: bool,
-    /// Whether stages stream bytes onward after one cycle.
-    streamed: bool,
+    /// The organization compiled into lookup tables.
+    tables: OrgTables,
     /// Enter times of the previous instruction, per stage.
     prev_enter: [u64; 7],
     /// Busy-until times of the previous instruction, per stage.
     prev_busy: [u64; 7],
     /// Cycle at which each architectural register's latest value is available
-    /// for bypass.
-    reg_ready: [u64; 32],
+    /// for bypass, plus the [`NO_REG`] sink for results nothing reads.
+    reg_ready: [u64; NO_REG + 1],
     /// Earliest cycle the next instruction may be fetched (control hazards).
     fetch_allowed: u64,
     /// Optional branch predictor (the paper's future-work extension).
@@ -227,40 +233,20 @@ impl PipelineSim {
 
     /// Creates a simulator that owns no memory hierarchy: its caller
     /// computes each record's cost and walks a hierarchy, and passes both to
-    /// [`PipelineSim::observe_step`].
+    /// [`PipelineSim::observe_step`] (or their [`RecordFacts`] to
+    /// [`PipelineSim::observe_facts`]).
     #[must_use]
     pub fn without_hierarchy(org: Organization) -> Self {
         Self::build(org, None)
     }
 
     fn build(org: Organization, standalone: Option<Standalone>) -> Self {
-        let depth = org.depth();
-        debug_assert!(depth <= 7, "the fixed stage arrays hold up to 7 stages");
-        let mut stages = [Stage::Fetch; 7];
-        stages[..depth].copy_from_slice(org.stages());
-        let mut lane_bytes = [0u64; 7];
-        let mut stage_pos = [usize::MAX; 7];
-        for (i, &stage) in org.stages().iter().enumerate() {
-            lane_bytes[i] = u64::from(org.lane_bytes(stage));
-            stage_pos[stage as usize] = i;
-        }
         PipelineSim {
             standalone,
-            depth,
-            stages,
-            lane_bytes,
-            stage_pos,
-            ex_index: org
-                .stage_index(Stage::Execute)
-                .expect("every organization has an execute stage"),
-            mem_index: org
-                .stage_index(Stage::Memory)
-                .expect("every organization has a memory stage"),
-            gates: org.gates_lanes(),
-            streamed: org.is_streamed(),
+            tables: OrgTables::compile(&org),
             prev_enter: [0; 7],
             prev_busy: [0; 7],
-            reg_ready: [0; 32],
+            reg_ready: [0; NO_REG + 1],
             fetch_allowed: 0,
             predictor: None,
             instructions: 0,
@@ -329,45 +315,42 @@ impl PipelineSim {
         self.observe_step(rec, cost, &step);
     }
 
-    /// The per-record core of the timing model: one instruction with its
-    /// [`InstrCost`] and its memory outcomes ([`step_memory`] over a
-    /// hierarchy with this simulator's parameters). Neither input depends on
-    /// the organization, so a caller timing one stream on several
-    /// organizations computes both once per record and shares them.
-    ///
-    /// This is the replay hot loop: every per-record quantity comes from the
-    /// attributes cached at construction and fixed-size stack arrays — no
-    /// heap allocation per record.
+    /// One instruction with its [`InstrCost`] and its memory outcomes
+    /// ([`step_memory`] over a hierarchy with this simulator's parameters):
+    /// distils them into [`RecordFacts`] and times those.
     pub fn observe_step(&mut self, rec: &ExecRecord, cost: &InstrCost, step: &MemStep) {
-        let cost = *cost;
-        let depth = self.depth;
+        self.observe_facts(&RecordFacts::new(rec, cost, step));
+    }
+
+    /// The timing step: one instruction's [`RecordFacts`] through this
+    /// organization. Every per-stage quantity is a lookup in the tables
+    /// compiled at construction; what remains is the max-plus recurrence
+    /// over the stages and the attribution of each stall to its cause.
+    pub fn observe_facts(&mut self, facts: &RecordFacts) {
+        let tables = &self.tables;
+        let depth = tables.depth;
 
         // Per-stage occupancy, including cache/TLB miss penalties.
         let mut occ = [0u64; 7];
-        for (slot, &stage) in occ.iter_mut().zip(&self.stages[..depth]) {
-            *slot = u64::from(self.org.occupancy(stage, &cost));
+        for (s, slot) in occ.iter_mut().enumerate().take(depth) {
+            *slot = tables.occupancy(s, facts);
         }
-        occ[0] += u64::from(step.fetch.latency.saturating_sub(1));
-        if let Some(dmem) = step.data {
-            occ[self.mem_index] += u64::from(dmem.latency.saturating_sub(1));
-        }
+        occ[0] += facts.fetch_penalty;
+        occ[tables.memory] += facts.data_penalty;
 
         // Gated-lane occupancy: each occupied cycle powers the stage's lane
         // budget; the lanes the instruction's significant bytes don't need
-        // are gated off (only in the compressed organizations — the
-        // baseline has no extension bits to gate with).
+        // are gated off (the baseline's tables say every lane is used).
         for (s, &stage_occ) in occ.iter().enumerate().take(depth) {
-            let total = self.lane_bytes[s] * stage_occ;
-            let used = if self.gates {
-                u64::from(self.org.stage_used_bytes(self.stages[s], &cost)).min(total)
-            } else {
-                total
-            };
+            let total = tables.lanes[s] * stage_occ;
+            let used = tables.used(s, facts).min(total);
             self.gated_byte_cycles[s] += total - used;
             self.total_byte_cycles[s] += total;
         }
 
-        let ex_index = self.ex_index;
+        // Source operands are needed at the execute stage; register 0 (and
+        // a missing operand) is always ready.
+        let operands_ready = self.reg_ready[facts.srcs[0]].max(self.reg_ready[facts.srcs[1]]);
         let mut enter = [0u64; 7];
         let mut busy = [0u64; 7];
 
@@ -380,27 +363,18 @@ impl PipelineSim {
                 self.prev_busy[s]
             };
 
+            // Every organization streams: a stage hands the low-order byte
+            // onward one cycle after it started.
             let (flow, control_bound) = if s == 0 {
                 (vacated, self.fetch_allowed)
             } else {
-                // Stage-to-stage advance latency: streamed organizations
-                // hand the low-order byte onward after one cycle; a
-                // non-streamed one holds the instruction until the stage
-                // has finished.
-                let advance = if self.streamed { 1 } else { occ[s - 1] };
-                (enter[s - 1] + advance, 0)
+                (enter[s - 1] + 1, 0)
             };
-
-            let mut hazard_bound = 0u64;
-            if s == ex_index {
-                let (rs, rt) = rec.instr.src_regs();
-                for reg in [rs, rt].into_iter().flatten() {
-                    if !reg.is_zero() {
-                        hazard_bound = hazard_bound.max(self.reg_ready[usize::from(reg)]);
-                    }
-                }
-            }
-
+            let hazard_bound = if s == tables.execute {
+                operands_ready
+            } else {
+                0
+            };
             let structural_bound = if s == 0 { 0 } else { vacated };
             let start = flow
                 .max(structural_bound)
@@ -435,42 +409,30 @@ impl PipelineSim {
         }
 
         // Publish the destination register's bypass-ready time.
-        if let Some(dest) = rec.instr.dest_reg() {
-            let produce_stage = if rec.instr.op.is_load() {
-                self.org.load_result_stage(&cost)
-            } else {
-                self.org.alu_result_stage(&cost)
-            };
-            self.reg_ready[usize::from(dest)] = busy[self.stage_pos[produce_stage as usize]];
-        }
+        self.reg_ready[facts.dest] = busy[tables.produce[usize::from(facts.load)]];
 
         // Control hazards. Without a predictor (the paper's configuration)
         // the next fetch waits for resolution; with one, only mispredicted
         // branches pay the resolution latency. Direct jumps resolve at
-        // decode; indirect jumps always wait for the execute stage.
-        if cost.is_branch {
-            self.branches += 1;
-            let resolve = self.org.branch_resolve_stage(&cost);
-            let idx = self.stage_pos[resolve as usize];
-            let correct = match self.predictor.as_mut() {
-                Some(p) => p.update(rec.pc, cost.taken),
-                None => false,
-            };
-            if !correct {
-                if self.predictor.is_some() {
-                    self.mispredictions += 1;
+        // decode; indirect jumps always wait for the resolve stage.
+        match tables.redirect(facts) {
+            Redirect::None => {}
+            Redirect::Branch(resolve) => {
+                self.branches += 1;
+                let correct = match self.predictor.as_mut() {
+                    Some(p) => p.update(facts.pc, facts.taken),
+                    None => false,
+                };
+                if !correct {
+                    if self.predictor.is_some() {
+                        self.mispredictions += 1;
+                    }
+                    self.fetch_allowed = self.fetch_allowed.max(busy[resolve]);
                 }
-                self.fetch_allowed = self.fetch_allowed.max(busy[idx]);
             }
-        } else if matches!(rec.instr.op, Op::Jr | Op::Jalr) {
-            let resolve = self.org.branch_resolve_stage(&cost);
-            self.fetch_allowed = self
-                .fetch_allowed
-                .max(busy[self.stage_pos[resolve as usize]]);
-        } else if cost.is_jump {
-            self.fetch_allowed = self
-                .fetch_allowed
-                .max(busy[self.stage_pos[Stage::RegRead as usize]]);
+            Redirect::Wait(stage) => {
+                self.fetch_allowed = self.fetch_allowed.max(busy[stage]);
+            }
         }
 
         self.completion = self.completion.max(busy[depth - 1]);

@@ -17,7 +17,9 @@
 //! All models share one engine ([`PipelineSim`]): an in-order pipeline with
 //! no branch prediction, full bypassing, per-stage occupancies derived from
 //! the significance of the actual operand values, and the paper's cache/TLB
-//! hierarchy for miss penalties.
+//! hierarchy for miss penalties. Each organization is compiled into lookup
+//! tables when its simulator is built, so one table-driven step times every
+//! organization from the same per-record [`RecordFacts`].
 //!
 //! # Example
 //!
@@ -49,10 +51,12 @@
 mod engine;
 mod organization;
 mod predictor;
+mod table;
 
 pub use engine::{PipelineSim, SimResult, StallBreakdown};
 pub use organization::{OrgKind, Organization, Stage};
 pub use predictor::BimodalPredictor;
+pub use table::RecordFacts;
 
 use sigcomp_isa::Trace;
 

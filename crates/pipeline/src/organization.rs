@@ -1,8 +1,15 @@
 //! The pipeline organizations studied in §4–§6 of the paper.
 //!
-//! Every organization is an in-order pipeline without branch prediction; they
-//! differ in how many byte-wide datapath slices each stage has and in whether
-//! the stages are skewed (streamed byte by byte) or blocking.
+//! Every organization is an in-order pipeline without branch prediction whose
+//! stages stream bytes onward as they are produced (§4: "while later
+//! sequential data bytes are being processed, earlier bytes can proceed up
+//! the pipeline"); they differ in how many byte-wide datapath slices each
+//! stage has and in whether execute and memory are split into skewed
+//! low/high stage pairs.
+//!
+//! The methods here are the one statement of the paper's per-stage rules.
+//! The timing engine does not call them per record: it compiles each
+//! organization into lookup tables by evaluating them (see `table.rs`).
 
 use sigcomp::cost::InstrCost;
 use sigcomp::hash::{ConfigHash, StableHasher};
@@ -199,28 +206,13 @@ impl Organization {
         self.stages.iter().position(|&s| s == stage)
     }
 
-    /// Whether the stages stream bytes to the next stage as they are
-    /// produced: the low-order byte (plus extension bits) is handed onward
-    /// after one cycle even when the stage stays busy with the remaining
-    /// bytes. All of the paper's organizations work this way (§4: "while
-    /// later sequential data bytes are being processed, earlier bytes can
-    /// proceed up the pipeline"); the flag exists so ablation studies can
-    /// turn the skew off.
-    #[must_use]
-    pub fn is_streamed(&self) -> bool {
-        true
-    }
-
     /// Whether this instruction counts as "short" for the bypass paths of the
     /// skewed-with-bypasses organization: every operand, result and ALU slice
     /// fits in the low-order half of the datapath, so the high-order stages
     /// have nothing to do and the instruction can skip them.
     #[must_use]
     pub fn is_short_operand(&self, cost: &InstrCost) -> bool {
-        cost.max_operand_bytes() <= 2
-            && cost.alu_bytes() <= 2
-            && cost.result_bytes.unwrap_or(1) <= 2
-            && cost.mem.is_none_or(|m| m.sig_bytes <= 2)
+        is_short_operand(cost)
     }
 
     /// The stage at whose completion a conditional branch (or
@@ -247,7 +239,7 @@ impl Organization {
     /// stage is enough to keep a dependent instruction moving — the backward
     /// bypasses the paper's §6 mentions.
     #[must_use]
-    pub fn alu_result_stage(&self, _cost: &InstrCost) -> Stage {
+    pub fn alu_result_stage(&self) -> Stage {
         Stage::Execute
     }
 
@@ -255,7 +247,7 @@ impl Organization {
     /// As with ALU results, skewed consumers pick up the low-order bytes as
     /// soon as the first memory stage delivers them.
     #[must_use]
-    pub fn load_result_stage(&self, _cost: &InstrCost) -> Stage {
+    pub fn load_result_stage(&self) -> Stage {
         Stage::Memory
     }
 
@@ -416,8 +408,17 @@ impl fmt::Display for Organization {
 /// Bytes the execute stage must stream through for one instruction: the ALU
 /// byte slices it operates, but never fewer than the operand bytes it has to
 /// receive from the skewed register read.
-fn serial_ex_bytes(cost: &InstrCost) -> u8 {
+pub(crate) fn serial_ex_bytes(cost: &InstrCost) -> u8 {
     cost.alu_bytes().max(cost.max_operand_bytes())
+}
+
+/// [`Organization::is_short_operand`], which no organization parameter
+/// affects: every operand, result and ALU slice fits in two bytes.
+pub(crate) fn is_short_operand(cost: &InstrCost) -> bool {
+    cost.max_operand_bytes() <= 2
+        && cost.alu_bytes() <= 2
+        && cost.result_bytes.unwrap_or(1) <= 2
+        && cost.mem.is_none_or(|m| m.sig_bytes <= 2)
 }
 
 /// Cycles to fetch a compressed instruction from `banks` byte-wide I-cache
@@ -594,7 +595,6 @@ mod tests {
         assert_eq!(org.occupancy(Stage::RegRead, &wide), 2);
         assert_eq!(org.occupancy(Stage::Memory, &load_cost(5)), 1);
         assert_eq!(org.occupancy(Stage::Memory, &load_cost(0x1234_5678)), 2);
-        assert!(org.is_streamed());
     }
 
     #[test]
@@ -608,7 +608,7 @@ mod tests {
         );
         assert!(org.is_short_operand(&narrow));
         assert_eq!(org.branch_resolve_stage(&narrow), Stage::Execute);
-        assert_eq!(org.load_result_stage(&narrow), Stage::Memory);
+        assert_eq!(org.load_result_stage(), Stage::Memory);
         let wide = cost_of(
             Instruction::r3(Op::Addu, T0, T1, T2),
             Some(0x1234_5678),
@@ -618,7 +618,7 @@ mod tests {
         assert!(!org.is_short_operand(&wide));
         assert_eq!(org.branch_resolve_stage(&wide), Stage::ExecuteHi);
         // ALU results stream forward from the low execute stage either way.
-        assert_eq!(org.alu_result_stage(&wide), Stage::Execute);
+        assert_eq!(org.alu_result_stage(), Stage::Execute);
     }
 
     #[test]
