@@ -38,7 +38,7 @@
 
 use crate::organization::{Organization, Stage};
 use crate::predictor::BimodalPredictor;
-use crate::table::{OrgTables, RecordFacts, Redirect, NO_REG};
+use crate::table::{Control, OrgTables, RecordFacts, NO_REG};
 use sigcomp::cost::{instr_cost, step_memory, InstrCost};
 use sigcomp::FunctRecoder;
 use sigcomp_isa::ExecRecord;
@@ -415,9 +415,9 @@ impl PipelineSim {
         // the next fetch waits for resolution; with one, only mispredicted
         // branches pay the resolution latency. Direct jumps resolve at
         // decode; indirect jumps always wait for the resolve stage.
-        match tables.redirect(facts) {
-            Redirect::None => {}
-            Redirect::Branch(resolve) => {
+        match facts.control {
+            Control::None => {}
+            Control::Branch => {
                 self.branches += 1;
                 let correct = match self.predictor.as_mut() {
                     Some(p) => p.update(facts.pc, facts.taken),
@@ -427,11 +427,14 @@ impl PipelineSim {
                     if self.predictor.is_some() {
                         self.mispredictions += 1;
                     }
-                    self.fetch_allowed = self.fetch_allowed.max(busy[resolve]);
+                    self.fetch_allowed = self.fetch_allowed.max(busy[tables.resolve(facts)]);
                 }
             }
-            Redirect::Wait(stage) => {
-                self.fetch_allowed = self.fetch_allowed.max(busy[stage]);
+            Control::Indirect => {
+                self.fetch_allowed = self.fetch_allowed.max(busy[tables.resolve(facts)]);
+            }
+            Control::Jump => {
+                self.fetch_allowed = self.fetch_allowed.max(busy[tables.decode]);
             }
         }
 

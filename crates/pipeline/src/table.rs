@@ -135,7 +135,7 @@ fn probe(key: Key, value: u8) -> InstrCost {
 
 /// How a record redirects fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Control {
+pub(crate) enum Control {
     /// Fetch continues in order.
     None,
     /// A conditional branch: fetch waits for it to resolve (or, with a
@@ -163,13 +163,13 @@ pub struct RecordFacts {
     /// [`Organization::is_short_operand`]: selects the resolve stage of the
     /// skewed organization with bypasses.
     pub(crate) short: bool,
-    /// Non-zero source registers; 0 where there is none.
+    /// Source registers; 0 (`$zero`, always ready) where there is none.
     pub(crate) srcs: [usize; 2],
     /// Destination register, or [`NO_REG`].
     pub(crate) dest: usize,
     /// Whether the result comes from memory (its producing stage).
     pub(crate) load: bool,
-    control: Control,
+    pub(crate) control: Control,
     /// The branch's PC and outcome, for the predictor.
     pub(crate) pc: u32,
     pub(crate) taken: bool,
@@ -217,17 +217,6 @@ impl RecordFacts {
     }
 }
 
-/// How a record's control class redirects fetch on one organization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Redirect {
-    /// Nothing to wait for.
-    None,
-    /// A conditional branch resolving at the given stage index.
-    Branch(usize),
-    /// Fetch waits for the given stage index to finish.
-    Wait(usize),
-}
-
 /// One organization compiled into lookup tables, indexed by pipeline
 /// position (`0..depth`).
 #[derive(Debug, Clone)]
@@ -252,7 +241,7 @@ pub(crate) struct OrgTables {
     /// Position where a branch or indirect jump resolves: `[long, short]`.
     resolve: [usize; 2],
     /// Position where a direct jump's target is known.
-    decode: usize,
+    pub(crate) decode: usize,
 }
 
 impl OrgTables {
@@ -323,15 +312,11 @@ impl OrgTables {
         u64::from(self.used[s][usize::from(facts.keys[self.used_key[s]])])
     }
 
-    /// How the record redirects fetch on this organization.
+    /// Position where the record resolves if it is a branch or an
+    /// indirect jump.
     #[inline]
-    pub(crate) fn redirect(&self, facts: &RecordFacts) -> Redirect {
-        match facts.control {
-            Control::None => Redirect::None,
-            Control::Branch => Redirect::Branch(self.resolve[usize::from(facts.short)]),
-            Control::Indirect => Redirect::Wait(self.resolve[usize::from(facts.short)]),
-            Control::Jump => Redirect::Wait(self.decode),
-        }
+    pub(crate) fn resolve(&self, facts: &RecordFacts) -> usize {
+        self.resolve[usize::from(facts.short)]
     }
 }
 
@@ -431,6 +416,7 @@ mod tests {
                 let tables = OrgTables::compile(&org);
                 let position = |stage| org.stage_index(stage).unwrap();
                 assert_eq!(tables.depth, org.depth());
+                assert_eq!(tables.decode, position(Stage::RegRead));
                 assert_eq!(
                     tables.produce,
                     [
@@ -439,7 +425,7 @@ mod tests {
                     ]
                 );
                 for cost in &costs {
-                    let mut facts = branch_facts(cost);
+                    let facts = branch_facts(cost);
                     for (s, &stage) in org.stages().iter().enumerate() {
                         let at = || format!("{} {scheme:?} {stage:?} {cost:?}", org.name());
                         assert_eq!(
@@ -455,14 +441,11 @@ mod tests {
                         };
                         assert_eq!(tables.used(s, &facts), u64::from(used), "used: {}", at());
                     }
-                    let resolve = position(org.branch_resolve_stage(cost));
-                    assert_eq!(tables.redirect(&facts), Redirect::Branch(resolve));
-                    facts.control = Control::Indirect;
-                    assert_eq!(tables.redirect(&facts), Redirect::Wait(resolve));
-                    facts.control = Control::Jump;
                     assert_eq!(
-                        tables.redirect(&facts),
-                        Redirect::Wait(position(Stage::RegRead))
+                        tables.resolve(&facts),
+                        position(org.branch_resolve_stage(cost)),
+                        "resolve: {} {scheme:?} {cost:?}",
+                        org.name()
                     );
                 }
             }
